@@ -38,14 +38,18 @@ def build():
                          "repository checkout\n" % HERE)
         sys.exit(2)
     bdir = os.path.join(build_dir(), "perfbench")
+    # Keep the compiler's temporary files inside the build directory too.
+    tmp = os.path.join(build_dir(), "tmp")
+    os.makedirs(tmp, exist_ok=True)
+    env = dict(os.environ, TMPDIR=tmp)
     if not os.path.isfile(os.path.join(bdir, "CMakeCache.txt")):
         cmd = ["cmake", "-S", HERE, "-B", bdir, "-DCMAKE_BUILD_TYPE=Release"]
         if shutil.which("ninja"):
             cmd += ["-G", "Ninja"]
-        subprocess.run(cmd, check=True, stdout=sys.stderr)
+        subprocess.run(cmd, check=True, stdout=sys.stderr, env=env)
     jobs = str(max(1, min(4, os.cpu_count() or 1)))
     subprocess.run(["cmake", "--build", bdir, "--target", "perfbench", "-j", jobs],
-                   check=True, stdout=sys.stderr)
+                   check=True, stdout=sys.stderr, env=env)
     return os.path.join(bdir, "perfbench")
 
 
