@@ -116,6 +116,12 @@ int Main(int argc, char** argv) {
     out.Note("host steal share over the run = " + FormatNumber(steal));
     out.Layer("bench.host_steal_share", steal, "share");
   }
+  out.E2e("answered_share",
+          out.attempted > 0
+              ? 1.0 - static_cast<double>(out.failed + out.unanswered) /
+                          static_cast<double>(out.attempted)
+              : 0,
+          "share");
   out.Layer("e2e.failure_share",
             out.attempted > 0 ? static_cast<double>(out.failed) /
                                     static_cast<double>(out.attempted)
@@ -133,6 +139,8 @@ int Main(int argc, char** argv) {
   for (const auto& line : out.notes) std::cout << "  " << line << "\n";
   std::cout << "  failure share = " << out.failed << "/" << out.attempted
             << " operations\n";
+  std::cout << "  unanswered (budget exhausted or infeasible) = "
+            << out.unanswered << "/" << out.attempted << " operations\n";
   std::cout << "  answer checks = " << out.checker.checks() << "\n";
   std::cout << "end-to-end metrics:\n";
   for (const auto& [name, unit] : EndToEndMetrics()) {

@@ -181,7 +181,7 @@ class OocoreScan {
                   "count");
       Replay(StatementStream(DeriveSeed(config_.seed, 9), rows_));
     }
-    for (const auto& f : failures_) out_->Note("failed: " + f);
+    for (const auto& f : failures_) out_->Note("no package: " + f);
     Verify();
     std::filesystem::remove(store_path_);
   }
@@ -240,7 +240,7 @@ class OocoreScan {
       span.Close();
       ++out_->attempted;
       if (!r.ok()) {
-        ++out_->failed;
+        out_->NoPackage(r.status().code());
         if (failures_.size() < 3) failures_.push_back(r.status().ToString() + ": " + text);
       }
       // A seeded sample is re-run on the in-memory table after measuring.

@@ -225,7 +225,7 @@ class PaperGalaxy {
     ++out_->attempted;
     if (!r.ok()) {
       e.code = r.status().code();
-      ++out_->failed;
+      out_->NoPackage(e.code);
       return e;
     }
     e.ok = true;

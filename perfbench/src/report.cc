@@ -190,6 +190,7 @@ const std::vector<std::pair<std::string, std::string>>& EndToEndMetrics() {
       {"setup_s", "s"},
       {"primary_cpu_ms", "ms"},
       {"secondary_cpu_ms", "ms"},
+      {"answered_share", "share"},
   };
   return kMetrics;
 }

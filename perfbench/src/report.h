@@ -12,6 +12,8 @@
 #include <string_view>
 #include <vector>
 
+#include "common/status.h"
+
 namespace perfbench {
 
 /// What one invocation measures (parsed from the command line).
@@ -148,6 +150,11 @@ struct Outcome {
   std::vector<std::string> notes;
   int64_t attempted = 0;
   int64_t failed = 0;
+  /// Operations that ran to completion but returned no package because
+  /// the solver budget ran out or the strategy reported infeasible: the
+  /// experiment's measured outcome (fig5's FAIL cells), not a failed
+  /// operation. answered_share = 1 - (failed + unanswered) / attempted.
+  int64_t unanswered = 0;
   Checker checker;
 
   void E2e(const std::string& name, double value, const std::string& unit) {
@@ -157,6 +164,15 @@ struct Outcome {
     per_layer[name] = {value, unit};
   }
   void Note(const std::string& line) { notes.push_back(line); }
+  /// Count an engine call that returned `code` instead of a package.
+  void NoPackage(paql::StatusCode code) {
+    if (code == paql::StatusCode::kResourceExhausted ||
+        code == paql::StatusCode::kInfeasible) {
+      ++unanswered;
+    } else {
+      ++failed;
+    }
+  }
 };
 
 /// The end-to-end and per-layer metric names, with their units, as

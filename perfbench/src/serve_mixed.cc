@@ -23,6 +23,7 @@
 #include <thread>
 
 #include "common/rng.h"
+#include "common/stopwatch.h"
 #include "common/str_util.h"
 #include "core/incremental.h"
 #include "core/sketch_refine.h"
@@ -175,16 +176,26 @@ class ServeMixed {
     TimeSetUp(5, [&](int rep) { SetUp(rep); }, out_);
     WarmUp();
 
-    // Writes alone: the CPU cost of one acknowledged batch. Inserts and
-    // deletes alternate and cost differently, so the figure is the median
-    // over insert+delete pairs of the pair's mean.
+    // Writes alone and reads alone, interleaved for half the measuring
+    // time: an insert+delete pair, then a quarter second of closed-loop
+    // reads, and again. The host's speed drifts over seconds; measured in
+    // two separate 5 s blocks, each figure spread by 0.2-0.3 from run to
+    // run, so both now sample the same, longer stretch.
+    // secondary_cpu_ms is the CPU cost of one acknowledged batch: inserts
+    // and deletes cost differently, so it is the median over pairs of the
+    // pair's mean. primary_cpu_ms is the median CPU cost of one read.
     paql::Rng write_rng(DeriveSeed(config_.seed, 58));
-    std::vector<double> alone_ms, alone_cpu_ms, pair_cpu_ms;
-    for (int i = 0; i < (config_.tiny ? 2 : 24); ++i) {
-      PB_CHECK(WriteBatch(write_rng, &alone_ms, &alone_cpu_ms), "write failed");
-      if (i % 2 == 1) {
-        pair_cpu_ms.push_back(0.5 * (alone_cpu_ms[i - 1] + alone_cpu_ms[i]));
+    std::vector<double> alone_ms, alone_cpu_ms, pair_cpu_ms, read_cpu_ms;
+    const size_t min_pairs = config_.tiny ? 1 : 12;
+    paql::Stopwatch alone_watch;
+    while (pair_cpu_ms.size() < min_pairs ||
+           alone_watch.ElapsedSeconds() < config_.seconds * 0.5) {
+      for (int i = 0; i < 2; ++i) {
+        PB_CHECK(WriteBatch(write_rng, &alone_ms, &alone_cpu_ms), "write failed");
       }
+      pair_cpu_ms.push_back(0.5 * (alone_cpu_ms[alone_cpu_ms.size() - 2] +
+                                   alone_cpu_ms.back()));
+      ReadCpuMs(0.25, &read_cpu_ms);
     }
     const double write_cpu = Median(pair_cpu_ms);
     out_->E2e("secondary_cpu_ms", write_cpu, "ms");
@@ -192,25 +203,24 @@ class ServeMixed {
                " ms median, " + FormatNumber(write_cpu) +
                " CPU ms = secondary_cpu_ms (over " +
                std::to_string(alone_ms.size()) + " batches)");
-
-    // Reads alone: the CPU cost of one read.
-    const double read_cpu = ReadCpuMs(config_.seconds * 0.2);
+    const double read_cpu = Median(read_cpu_ms);
     out_->E2e("primary_cpu_ms", read_cpu, "ms");
     out_->Note("read alone: " + FormatNumber(read_cpu) +
-               " CPU ms per read (median) = primary_cpu_ms");
+               " CPU ms per read (median of " +
+               std::to_string(read_cpu_ms.size()) + ") = primary_cpu_ms");
     if (config_.trace) {
       tracer_->set_enabled(true);
-      std::vector<double> queue_ms;
-      const double traced_cpu = ReadCpuMs(config_.seconds * 0.2, &queue_ms);
+      std::vector<double> traced_cpu_ms, queue_ms;
+      ReadCpuMs(config_.seconds * 0.15, &traced_cpu_ms, &queue_ms);
       tracer_->set_enabled(false);
-      out_->Layer("bench.trace_overhead_share", traced_cpu / read_cpu - 1.0,
-                  "share");
+      out_->Layer("bench.trace_overhead_share",
+                  Median(traced_cpu_ms) / read_cpu - 1.0, "share");
       out_->Layer("service.queue_wait_ms", Median(queue_ms), "ms");
     }
 
     // Reads and writes together at the fixed offered rate: the latencies.
     write_ms_.clear();
-    const double mixed_s = config_.seconds * (config_.trace ? 0.2 : 0.35);
+    const double mixed_s = config_.seconds * 0.15;
     std::vector<double> read_ms, lag_ms;
     for (const auto& r : Phase(sizes_.read_rate, mixed_s, true)) {
       if (!r.ok) continue;
@@ -476,24 +486,29 @@ class ServeMixed {
   }
 
   /// Reads alone, one connection in a closed loop for `seconds`, drawn from
-  /// the pool like the open-loop reads: the median process CPU ms of one
-  /// read (server and client together; nothing else runs, so each read's
-  /// CPU is its own). Optionally collects each read's queueing delay.
-  double ReadCpuMs(double seconds, std::vector<double>* queue_ms = nullptr) {
+  /// the pool like the open-loop reads: appends the process CPU ms of each
+  /// read to `cpu_ms` (server and client together; nothing else runs, so
+  /// each read's CPU is its own). The static table's cached statements are evicted
+  /// before each read, so every read is parsed, planned and solved: a
+  /// cache hit is mostly thread hand-offs, whose CPU cost moved by 2x from
+  /// run to run with the host's load. Optionally collects each read's
+  /// queueing delay.
+  void ReadCpuMs(double seconds, std::vector<double>* cpu_ms,
+                 std::vector<double>* queue_ms = nullptr) {
     paql::Rng pick(DeriveSeed(config_.seed, 40 + phase_++));
     std::vector<std::string> lines;
-    std::vector<double> cpu_ms;
     const int64_t end = NowNs() + static_cast<int64_t>(seconds * 1e9);
     while (NowNs() < end) {
       ReadResult r;
       r.statement = static_cast<size_t>(
           pick.Zipf(static_cast<int64_t>(pool_.size()), kZipf) - 1);
+      catalog_->query_cache()->EvictStatements(kStatic);
       const int64_t request = next_request_++;
       ScopedSpan span(tracer_, "service.request", request);
       const int64_t start = NowNs();
       const double cpu0 = ProcessCpuSeconds();
       const bool transport = readers_[0]->Request("RUN " + pool_[r.statement], &lines);
-      cpu_ms.push_back((ProcessCpuSeconds() - cpu0) * 1e3);
+      cpu_ms->push_back((ProcessCpuSeconds() - cpu0) * 1e3);
       r.latency_ms = static_cast<double>(NowNs() - start) / 1e6;
       span.Close();
       const int64_t micros = transport ? ServerMicros(lines) : -1;
@@ -505,7 +520,6 @@ class ServeMixed {
       }
       all_reads_.push_back(std::move(r));
     }
-    return Median(cpu_ms);
   }
 
   /// Offer reads open-loop at `rate` per second for `seconds` (and writes
