@@ -287,7 +287,6 @@ MicroKernels MakeMicroKernels(size_t rows) {
   auto agg =
       translate::CompileAggArg(*q->objective->expr->agg, k.table->schema());
   PAQL_CHECK_MSG(agg.ok(), agg.status());
-  PAQL_CHECK_MSG(agg->vectorized(), "micro aggregate lost its batch twin");
   k.scalar_pred = std::move(*scalar_pred);
   k.batch_pred = std::move(*batch_pred);
   k.agg = std::move(*agg);
@@ -618,9 +617,7 @@ void RunSparseSolverMicroSuite(size_t pricing_rows, size_t presolve_cols,
   auto cq = translate::CompiledQuery::Compile(*q, t.schema());
   PAQL_CHECK_MSG(cq.ok(), cq.status());
   auto base_rows = cq->ComputeBaseRowsVectorized(t);
-  translate::CompiledQuery::BuildOptions build;
-  build.vectorized = true;
-  auto model = cq->BuildModel(t, base_rows, build);
+  auto model = cq->BuildModel(t, base_rows);
   PAQL_CHECK_MSG(model.ok(), model.status());
   PAQL_CHECK_MSG(model->attached_columns() != nullptr,
                  "translate lost the attached CSC view");

@@ -3,7 +3,6 @@
 #include <array>
 #include <atomic>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 
 #if !defined(PAQL_NO_SIMD) && defined(__x86_64__)
@@ -36,13 +35,7 @@ Level HardwareLevel() {
   return level;
 }
 
-std::atomic<bool>& ForceFlag() {
-  static std::atomic<bool> flag{[] {
-    const char* e = std::getenv("PAQL_NO_SIMD");
-    return e != nullptr && e[0] != '\0' && e[0] != '0';
-  }()};
-  return flag;
-}
+std::atomic<bool> g_force_scalar{false};
 
 // --- Scalar fallbacks ---------------------------------------------------
 //
@@ -572,11 +565,11 @@ const char* LevelName(Level level) {
 }
 
 void ForceScalar(bool on) {
-  ForceFlag().store(on, std::memory_order_relaxed);
+  g_force_scalar.store(on, std::memory_order_relaxed);
 }
 
 bool ScalarForced() {
-  return ForceFlag().load(std::memory_order_relaxed);
+  return g_force_scalar.load(std::memory_order_relaxed);
 }
 
 uint32_t CompactCmpConst(const double* values, uint32_t n, Cmp op, double c,

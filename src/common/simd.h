@@ -18,11 +18,11 @@
 //    baseline), else scalar; NEON is selected at compile time on aarch64.
 //    Individual functions carry `__attribute__((target(...)))`, so the
 //    rest of the build keeps the portable baseline ISA.
-//  * Two kill switches. Compile-time: -DPAQL_NO_SIMD (CMake option
-//    PAQL_NO_SIMD) removes the intrinsic paths entirely. Runtime:
-//    ForceScalar(true) — or the PAQL_NO_SIMD environment variable — routes
-//    every call to the scalar fallback, which is how one differential_test
-//    binary sweeps SIMD-on vs scalar and asserts bit-identity.
+//  * Two ways to run the scalar kernels. Compile-time: -DPAQL_NO_SIMD
+//    (CMake option PAQL_NO_SIMD) removes the intrinsic paths entirely.
+//    In tests: ForceScalar(true) routes every call to the scalar kernel,
+//    which is how one differential_test binary sweeps SIMD-on vs scalar
+//    and asserts bit-identity.
 #ifndef PAQL_COMMON_SIMD_H_
 #define PAQL_COMMON_SIMD_H_
 
@@ -34,15 +34,14 @@ namespace paql::simd {
 /// Instruction set the dispatcher resolved to.
 enum class Level { kScalar, kSse2, kAvx2, kNeon };
 
-/// The level kernels will actually run at right now (respects both kill
-/// switches).
+/// The level kernels will actually run at right now (kScalar in a
+/// PAQL_NO_SIMD build or while ForceScalar is on).
 Level ActiveLevel();
 
 const char* LevelName(Level level);
 
-/// Runtime kill switch: true routes every kernel to its scalar fallback.
-/// Thread-safe; intended for A/B sweeps and for the PAQL_NO_SIMD=1
-/// environment override (applied on first use).
+/// Test switch: true routes every kernel to its scalar fallback.
+/// Thread-safe; the SIMD-vs-scalar differential sweeps use it.
 void ForceScalar(bool on);
 bool ScalarForced();
 

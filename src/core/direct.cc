@@ -24,16 +24,12 @@ Result<EvalResult> DirectEvaluator::Evaluate(
     return Status::ResourceExhausted("evaluation cancelled");
   }
   Stopwatch translate_watch;
-  // Step 2 (paper): the base relation over the whole table — a contiguous
-  // chunked scan on the vectorized pipeline, a row-at-a-time loop on the
-  // scalar one (identical result either way). Over a DiskTable the scan
-  // consults zone maps and skips blocks the WHERE clause rules out.
+  // Step 2 (paper): the base relation over the whole table, one contiguous
+  // chunked scan. Over a DiskTable the scan consults zone maps and skips
+  // blocks the WHERE clause rules out.
   translate::ScanCounters scan;
-  std::vector<relation::RowId> candidates =
-      options_.vectorized
-          ? query.ComputeBaseRowsVectorized(*table_,
-                                            options_.EffectiveThreads(), &scan)
-          : query.ComputeBaseRows(*table_);
+  std::vector<relation::RowId> candidates = query.ComputeBaseRowsVectorized(
+      *table_, options_.EffectiveThreads(), &scan);
   auto result = SolveCandidates(query, candidates,
                                 translate_watch.ElapsedSeconds());
   if (result.ok()) {
@@ -50,8 +46,8 @@ Result<EvalResult> DirectEvaluator::EvaluateOnRows(
     return Status::ResourceExhausted("evaluation cancelled");
   }
   Stopwatch translate_watch;
-  std::vector<relation::RowId> candidates = query.FilterBaseRows(
-      *table_, rows, options_.vectorized, options_.EffectiveThreads());
+  std::vector<relation::RowId> candidates =
+      query.FilterBaseRows(*table_, rows, options_.EffectiveThreads());
   return SolveCandidates(query, candidates,
                          translate_watch.ElapsedSeconds());
 }
@@ -69,7 +65,6 @@ Result<EvalResult> DirectEvaluator::SolveCandidates(
   // Step 1 (paper): ILP formulation.
   Stopwatch translate_watch;
   translate::CompiledQuery::BuildOptions build;
-  build.vectorized = options_.vectorized;
   build.threads = options_.EffectiveThreads();
   PAQL_ASSIGN_OR_RETURN(lp::Model model,
                         query.BuildModel(*table_, candidates, build));
@@ -78,10 +73,11 @@ Result<EvalResult> DirectEvaluator::SolveCandidates(
 
   // Step 3 (paper): ILP execution by the black-box solver. The optional
   // warm carrier seeds the root LP from the previous identical
-  // statement's basis (cross-query cache) and collects this solve's.
+  // statement's basis (cross-query cache) and collects this solve's; the
+  // solver leaves it alone when branch_and_bound.warm_start is off.
   auto solution =
       ilp::SolveIlp(model, options_.limits, options_.EffectiveBranchAndBound(),
-                    options_.warm_start ? options_.warm_basis : nullptr);
+                    options_.warm_basis);
   if (!solution.ok()) {
     return solution.status();
   }

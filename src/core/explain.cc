@@ -65,7 +65,7 @@ std::string ExplainDirect(const CompiledQuery& query, const ColumnSource& table)
   std::ostringstream out;
   out << "DIRECT plan (paper Section 3.2)\n";
   out << "  input relation: " << table.num_rows() << " rows\n";
-  std::vector<RowId> base = query.ComputeBaseRows(table);
+  std::vector<RowId> base = query.ComputeBaseRowsVectorized(table);
   if (query.has_base_predicate()) {
     out << "  base relation (WHERE): " << base.size() << " rows ("
         << table.num_rows() - base.size() << " excluded; their variables "
@@ -85,27 +85,25 @@ std::string ExplainDirect(const CompiledQuery& query, const ColumnSource& table)
   return out.str();
 }
 
-std::string ExplainSketchRefine(const CompiledQuery& query, const ColumnSource& table,
-                                const partition::Partitioning& partitioning) {
+Result<std::string> ExplainSketchRefine(
+    const CompiledQuery& query, const ColumnSource& table,
+    const partition::Partitioning& partitioning) {
   std::ostringstream out;
   out << "SKETCHREFINE plan (paper Section 4)\n";
   out << "  input relation: " << table.num_rows() << " rows\n";
 
   // Candidate rows per group after the base predicate.
-  std::vector<size_t> group_candidates(partitioning.num_groups(), 0);
+  PAQL_ASSIGN_OR_RETURN(
+      std::vector<std::vector<RowId>> group_rows,
+      partitioning.GroupRows(query.ComputeBaseRowsVectorized(table)));
   size_t base_rows = 0;
-  for (RowId r = 0; r < table.num_rows(); ++r) {
-    if (query.BaseAccepts(table, r)) {
-      ++group_candidates[partitioning.gid[r]];
-      ++base_rows;
-    }
-  }
   size_t nonempty = 0;
   std::vector<double> sizes;
-  for (size_t g = 0; g < group_candidates.size(); ++g) {
-    if (group_candidates[g] > 0) {
+  for (const auto& members : group_rows) {
+    base_rows += members.size();
+    if (!members.empty()) {
       ++nonempty;
-      sizes.push_back(static_cast<double>(group_candidates[g]));
+      sizes.push_back(static_cast<double>(members.size()));
     }
   }
   out << "  base relation: " << base_rows << " candidate rows\n";

@@ -33,10 +33,11 @@ std::string ExplainDirect(const translate::CompiledQuery& query,
                           const relation::ColumnSource& table);
 
 /// Render the SKETCHREFINE evaluation plan of `query` over `table` with the
-/// offline `partitioning`.
-std::string ExplainSketchRefine(const translate::CompiledQuery& query,
-                                const relation::ColumnSource& table,
-                                const partition::Partitioning& partitioning);
+/// offline `partitioning`. Fails when the partitioning does not cover a
+/// base row of `table` (Partitioning::GroupRows).
+Result<std::string> ExplainSketchRefine(
+    const translate::CompiledQuery& query, const relation::ColumnSource& table,
+    const partition::Partitioning& partitioning);
 
 }  // namespace paql::core
 

@@ -49,12 +49,8 @@ Result<EvalResult> LpRoundingEvaluator::EvaluateWithInfo(
 
   Stopwatch translate_watch;
   std::vector<RowId> candidates =
-      options_.vectorized
-          ? query.ComputeBaseRowsVectorized(*table_,
-                                            options_.EffectiveThreads())
-          : query.ComputeBaseRows(*table_);
+      query.ComputeBaseRowsVectorized(*table_, options_.EffectiveThreads());
   CompiledQuery::BuildOptions base_build;
-  base_build.vectorized = options_.vectorized;
   base_build.threads = options_.EffectiveThreads();
   PAQL_ASSIGN_OR_RETURN(lp::Model model,
                         query.BuildModel(*table_, candidates, base_build));
@@ -140,7 +136,6 @@ Result<EvalResult> LpRoundingEvaluator::EvaluateWithInfo(
     for (size_t k : repair_set) repair_rows.push_back(candidates[k]);
     CompiledQuery::BuildOptions build;
     build.activity_offset = &offsets;
-    build.vectorized = options_.vectorized;
     build.threads = options_.EffectiveThreads();
     PAQL_ASSIGN_OR_RETURN(lp::Model repair_model,
                           query.BuildModel(*table_, repair_rows, build));

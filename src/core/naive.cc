@@ -37,10 +37,7 @@ Result<EvalResult> NaiveSelfJoinEvaluator::Evaluate(
   Deadline deadline(options_.time_limit_s);
 
   std::vector<RowId> base =
-      options_.vectorized
-          ? query.ComputeBaseRowsVectorized(*table_,
-                                            ClampThreads(options_.threads))
-          : query.ComputeBaseRows(*table_);
+      query.ComputeBaseRowsVectorized(*table_, ClampThreads(options_.threads));
   size_t n = base.size();
   if (static_cast<size_t>(cardinality) > n) {
     return Status::Infeasible(

@@ -27,14 +27,9 @@ struct NaiveOptions {
   /// benches run it with a small budget and report the timeout.
   double time_limit_s = 0;
 
-  /// Compute the base relation through the chunked batch pipeline (the
-  /// WHERE scan is this evaluator's only per-tuple loop over the table;
-  /// the combination enumeration itself is inherently row-at-a-time).
-  bool vectorized = true;
-
-  /// Workers for that base scan (morsel-parallel off the shared pool when
-  /// > 1; 0 = hardware concurrency). The enumeration stays serial — it is
-  /// the deliberately naive baseline.
+  /// Workers for the base-relation scan (morsel-parallel off the shared
+  /// pool when > 1; 0 = hardware concurrency). The enumeration stays
+  /// serial — it is the deliberately naive baseline.
   int threads = 1;
 };
 

@@ -53,22 +53,24 @@ struct EvalStats {
   int64_t bnb_nodes = 0;         // total branch-and-bound nodes
   size_t peak_memory_bytes = 0;  // per the SolverLimits accounting model
   /// Node LPs re-optimized from a warm basis with the dual simplex (zero
-  /// when ExecContext::warm_start is off).
+  /// when BranchAndBoundOptions::warm_start is off).
   int64_t warm_lp_solves = 0;
   /// Simplex pivots priced straight off the partial-pricing candidate list
-  /// (zero when ExecContext::pricing is off).
+  /// (zero when SimplexOptions::partial_pricing is off).
   int64_t pricing_candidate_hits = 0;
   /// Boxed columns flipped by the bound-flipping dual ratio test across
-  /// all simplex solves (zero when ExecContext::dse is off).
+  /// all simplex solves (zero when SimplexOptions::dual_steepest_edge is
+  /// off).
   int64_t bound_flips = 0;
   /// Dual pivots whose leaving row was chosen by the steepest-edge weights
-  /// (zero when ExecContext::dse is off).
+  /// (zero when SimplexOptions::dual_steepest_edge is off).
   int64_t dse_pivots = 0;
   /// Integer variables permanently fixed by root reduced-cost fixing
-  /// across all ILP solves (zero when ExecContext::pricing is off).
+  /// across all ILP solves (zero when
+  /// BranchAndBoundOptions::reduced_cost_fixing is off).
   int64_t rc_fixed_vars = 0;
   /// Columns removed by the ILP presolve pass across all solves (zero
-  /// when ExecContext::pricing is off).
+  /// when BranchAndBoundOptions::presolve is off).
   int64_t presolve_fixed_vars = 0;
 
   // SKETCHREFINE-specific counters (zero for other strategies).
@@ -86,7 +88,7 @@ struct EvalStats {
 
   // Out-of-core storage counters (relation/block_store.h), filled by the
   // base-relation scan; zero over sources without block statistics (the
-  // in-memory Table) or on the scalar pipeline.
+  // in-memory Table) or for queries without a WHERE clause.
   /// Storage blocks whose zone maps were consulted and scanned.
   int64_t blocks_scanned = 0;
   /// Storage blocks skipped whole: their zone maps were disjoint from a

@@ -202,15 +202,10 @@ Result<EvalResult> ParallelSketchRefineEvaluator::EvaluateGroupParallel(
 
   // Group the base relation by the offline partitioning (as the sequential
   // driver does).
-  const bool vectorized = options_.sketch_refine.vectorized;
   Stopwatch translate_watch;
-  std::vector<std::vector<RowId>> group_rows(partitioning_->num_groups());
-  std::vector<RowId> base =
-      vectorized ? query.ComputeBaseRowsVectorized(*table_, threads)
-                 : query.ComputeBaseRows(*table_);
-  for (RowId r : base) {
-    group_rows[partitioning_->gid[r]].push_back(r);
-  }
+  PAQL_ASSIGN_OR_RETURN(
+      std::vector<std::vector<RowId>> group_rows,
+      partitioning_->GroupRows(query.ComputeBaseRowsVectorized(*table_, threads)));
   std::vector<size_t> active;  // groups with candidates
   for (size_t g = 0; g < group_rows.size(); ++g) {
     if (!group_rows[g].empty()) active.push_back(g);
@@ -234,7 +229,7 @@ Result<EvalResult> ParallelSketchRefineEvaluator::EvaluateGroupParallel(
   seg.rows = &rep_rows;
   seg.ub_override = &rep_ub;
   PAQL_ASSIGN_OR_RETURN(lp::Model sketch_model,
-                        query.BuildModelSegments({seg}, nullptr, vectorized));
+                        query.BuildModelSegments({seg}, nullptr));
   auto sketch =
       ilp::SolveIlp(sketch_model, options_.sketch_refine.limits,
                     options_.sketch_refine.EffectiveBranchAndBound());
@@ -296,7 +291,6 @@ Result<EvalResult> ParallelSketchRefineEvaluator::EvaluateGroupParallel(
     }
     CompiledQuery::BuildOptions build;
     build.activity_offset = &offsets;
-    build.vectorized = vectorized;
     auto model = query.BuildModel(*table_, group_rows[g], build);
     if (!model.ok()) {
       out.status = model.status();

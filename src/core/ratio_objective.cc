@@ -57,12 +57,8 @@ Result<EvalResult> RatioObjectiveEvaluator::Evaluate(
   EvalResult result;
   Stopwatch translate_watch;
   std::vector<RowId> rows =
-      options_.vectorized
-          ? cq.ComputeBaseRowsVectorized(*table_,
-                                         options_.EffectiveThreads())
-          : cq.ComputeBaseRows(*table_);
+      cq.ComputeBaseRowsVectorized(*table_, options_.EffectiveThreads());
   CompiledQuery::BuildOptions build;
-  build.vectorized = options_.vectorized;
   build.threads = options_.EffectiveThreads();
   PAQL_ASSIGN_OR_RETURN(lp::Model model, cq.BuildModel(*table_, rows, build));
 

@@ -48,22 +48,15 @@ class Driver {
     Stopwatch total;
     EvalResult result;
 
-    // Group the base relation by the offline partitioning. The base scan
-    // runs chunked through the batch pipeline when enabled.
+    // Group the base relation by the offline partitioning.
     Stopwatch translate_watch;
-    std::vector<std::vector<RowId>> group_rows(partitioning_.num_groups());
     translate::ScanCounters scan;
-    std::vector<RowId> base =
-        options_.vectorized
-            ? query_.ComputeBaseRowsVectorized(table_,
-                                               options_.EffectiveThreads(),
-                                               &scan)
-            : query_.ComputeBaseRows(table_);
+    std::vector<RowId> base = query_.ComputeBaseRowsVectorized(
+        table_, options_.EffectiveThreads(), &scan);
     stats_.blocks_scanned = scan.blocks_scanned.load();
     stats_.blocks_pruned = scan.blocks_pruned.load();
-    for (RowId r : base) {
-      group_rows[partitioning_.gid[r]].push_back(r);
-    }
+    PAQL_ASSIGN_OR_RETURN(std::vector<std::vector<RowId>> group_rows,
+                          partitioning_.GroupRows(base));
     stats_.translate_seconds += translate_watch.ElapsedSeconds();
 
     max_attempts_ = options_.max_refine_attempts > 0
@@ -152,7 +145,6 @@ class Driver {
       seg.ub_override = &prob.ub;
       PAQL_ASSIGN_OR_RETURN(lp::Model model,
                             query_.BuildModelSegments({seg}, &offsets,
-                                                      options_.vectorized,
                                                       options_.EffectiveThreads()));
       PAQL_ASSIGN_OR_RETURN(ilp::IlpSolution sol, SolveModel(model));
       return RoundMults(sol.x, prob.rows.size());
@@ -216,7 +208,7 @@ class Driver {
     };
     bool small = options_.max_subproblem_size == 0 ||
                  group_size <= options_.max_subproblem_size;
-    if (!small || !options_.warm_start) {
+    if (!small || !options_.branch_and_bound.warm_start) {
       return SolveNode(make_sub(), offsets, depth);
     }
     stats_.recursion_depth = std::max<int64_t>(stats_.recursion_depth, depth);
@@ -234,7 +226,6 @@ class Driver {
       seg.ub_override = &sub.ub;
       PAQL_ASSIGN_OR_RETURN(lp::Model model,
                             query_.BuildModelSegments({seg}, &offsets,
-                                                      options_.vectorized,
                                                       options_.EffectiveThreads()));
       cache->model = std::move(model);
       cache->built = true;
@@ -417,12 +408,8 @@ class Driver {
         rep_mults.push_back(state[g].rep_mult);
       }
     }
-    std::vector<double> acts =
-        options_.vectorized
-            ? query_.LeafActivitiesVectorized(*prob.table, orig_rows,
-                                              orig_mults,
-                                              options_.EffectiveThreads())
-            : query_.LeafActivities(*prob.table, orig_rows, orig_mults);
+    std::vector<double> acts = query_.LeafActivitiesVectorized(
+        *prob.table, orig_rows, orig_mults, options_.EffectiveThreads());
     std::vector<double> rep_acts =
         query_.LeafActivities(*groups.rep_table, rep_rows, rep_mults);
     for (size_t i = 0; i < acts.size(); ++i) acts[i] += rep_acts[i];
@@ -549,7 +536,6 @@ class Driver {
     PAQL_ASSIGN_OR_RETURN(
         lp::Model model,
         query_.BuildModelSegments({seg_orig, seg_rep}, &offsets,
-                                  options_.vectorized,
                                   options_.EffectiveThreads()));
     PAQL_ASSIGN_OR_RETURN(ilp::IlpSolution sol, SolveModel(model));
     HybridResult out;

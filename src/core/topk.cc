@@ -39,12 +39,8 @@ Result<std::vector<EvalResult>> EnumerateTopPackages(
   }
 
   std::vector<RowId> candidates =
-      options.vectorized
-          ? query.ComputeBaseRowsVectorized(table,
-                                            options.EffectiveThreads())
-          : query.ComputeBaseRows(table);
+      query.ComputeBaseRowsVectorized(table, options.EffectiveThreads());
   translate::CompiledQuery::BuildOptions build;
-  build.vectorized = options.vectorized;
   build.threads = options.EffectiveThreads();
   PAQL_ASSIGN_OR_RETURN(lp::Model model,
                         query.BuildModel(table, candidates, build));

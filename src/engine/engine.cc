@@ -55,19 +55,6 @@ Result<Session> Engine::Open(std::shared_ptr<const relation::ColumnSource> table
 
 namespace {
 
-/// Copies the ExecContext toggles every session entry point must report
-/// identically (Execute, ExecuteTopK, PlanQuery, Explain): the pipeline
-/// actually used and the solver warm-start mode.
-void FillPlanExecFlags(const ExecContext& exec, const CompiledQuery& compiled,
-                       Plan* plan) {
-  plan->vectorized = exec.vectorized && compiled.ilp.fully_vectorizable();
-  plan->warm_start = exec.warm_start;
-  plan->pricing = exec.pricing;
-  plan->dse = exec.dse;
-  plan->exec_threads = exec.EffectiveThreads();
-}
-
-
 /// The partition-registry cache key for one (table, policy): shared by the
 /// read path (PartitioningFor) and the update path (ApplyUpdates,
 /// standing-query repair), which must agree on it byte for byte.
@@ -310,18 +297,24 @@ Session::PartitioningFor(const ResolvedQuery& resolved, Plan* plan) {
   // The registry lives in the (possibly process-wide) QueryCache, so every
   // session sharing the cache shares one partition tree per policy.
   std::string key;
-  if (!resolved.joined_from) {
+  bool publish = !resolved.joined_from;
+  if (publish) {
     key = PartitionRegistryKey(resolved.table_name, tau, attributes);
     if (auto hit = cache_->LookupPartitioning(key)) {
-      // A cached partitioning is only reusable for the row space this
-      // query resolved: a session holding an older snapshot must not read
-      // a partitioning that ApplyUpdates already advanced (its groups
-      // would reference rows past this snapshot's end), and vice versa.
-      if (hit->gid.size() == resolved.table->num_rows()) {
+      // A cached partitioning is only reusable when it groups every live
+      // row of the snapshot this query resolved: a session holding an
+      // older snapshot must not read a partitioning that ApplyUpdates
+      // already advanced (past its row space, or past a delete-only batch
+      // whose rows are still live here), and vice versa.
+      if (hit->CoversLiveRows(*resolved.table)) {
         plan->partitioning_reused = true;
         plan->partition_groups = hit->num_groups();
         return hit;
       }
+      // Spanning this row space without covering it means the entry was
+      // absorbed past this snapshot: readers of the newer version keep it,
+      // and this reader's rebuild stays private.
+      publish = hit->gid.size() < resolved.table->num_rows();
     }
   }
 
@@ -334,7 +327,7 @@ Session::PartitioningFor(const ResolvedQuery& resolved, Plan* plan) {
   auto partitioning =
       std::make_shared<const partition::Partitioning>(std::move(*built));
   plan->partition_groups = partitioning->num_groups();
-  if (!key.empty()) cache_->StorePartitioning(key, partitioning);
+  if (publish) cache_->StorePartitioning(key, partitioning);
   return partitioning;
 }
 
@@ -441,7 +434,7 @@ Result<QueryResult> Session::Execute(std::string_view paql) {
     Planner planner(options_.planner);
     out.plan = planner.Decide(*resolved.table, shape);
   }
-  FillPlanExecFlags(options_.exec, compiled, &out.plan);
+  out.plan.exec_threads = options_.exec.EffectiveThreads();
   std::shared_ptr<const partition::Partitioning> used_partitioning;
   PAQL_ASSIGN_OR_RETURN(
       std::unique_ptr<engine::PackageEvaluator> strategy,
@@ -458,7 +451,7 @@ Result<QueryResult> Session::Execute(std::string_view paql) {
   ExecContext exec = options_.exec;
   ilp::IlpWarmStart warm_local;
   warm_local.chain = false;
-  if (exec.warm_start && cached.has_value() &&
+  if (exec.branch_and_bound.warm_start && cached.has_value() &&
       cached->warm_basis.has_value()) {
     warm_local.root_basis = *cached->warm_basis;
     out.plan.warm_cached = true;
@@ -541,7 +534,7 @@ Result<std::vector<QueryResult>> Session::ExecuteTopK(std::string_view paql,
   shape.topk = k;
   Planner planner(options_.planner);
   Plan plan = planner.Decide(*resolved.table, shape);
-  FillPlanExecFlags(options_.exec, compiled, &plan);
+  plan.exec_threads = options_.exec.EffectiveThreads();
   timings.plan_seconds = plan_watch.ElapsedSeconds();
 
   const auto* in_memory =
@@ -587,7 +580,7 @@ Result<Plan> Session::PlanQuery(std::string_view paql) {
   shape.joined_from = resolved.joined_from;
   Planner planner(options_.planner);
   Plan plan = planner.Decide(*resolved.table, shape);
-  FillPlanExecFlags(options_.exec, compiled, &plan);
+  plan.exec_threads = options_.exec.EffectiveThreads();
   if (plan.uses_partitioning()) {
     PAQL_ASSIGN_OR_RETURN(auto partitioning,
                           PartitioningFor(resolved, &plan));
@@ -606,14 +599,16 @@ Result<std::string> Session::Explain(std::string_view paql) {
   shape.joined_from = resolved.joined_from;
   Planner planner(options_.planner);
   Plan plan = planner.Decide(*resolved.table, shape);
-  FillPlanExecFlags(options_.exec, compiled, &plan);
+  plan.exec_threads = options_.exec.EffectiveThreads();
 
   std::ostringstream os;
   if (plan.uses_partitioning()) {
     PAQL_ASSIGN_OR_RETURN(auto partitioning, PartitioningFor(resolved, &plan));
-    os << plan.Explain() << "\n"
-       << core::ExplainSketchRefine(compiled.ilp, *resolved.table,
-                                    *partitioning);
+    PAQL_ASSIGN_OR_RETURN(std::string sketch_refine,
+                          core::ExplainSketchRefine(compiled.ilp,
+                                                    *resolved.table,
+                                                    *partitioning));
+    os << plan.Explain() << "\n" << sketch_refine;
   } else {
     os << plan.Explain() << "\n"
        << core::ExplainDirect(compiled.ilp, *resolved.table);
@@ -1013,7 +1008,8 @@ Status Session::DumpLp(std::string_view paql, std::ostream& os) {
         "ratio (AVG) objectives have no linear LP translation to dump");
   }
   auto model = compiled->ilp.BuildModel(
-      *resolved->table, compiled->ilp.ComputeBaseRows(*resolved->table));
+      *resolved->table,
+      compiled->ilp.ComputeBaseRowsVectorized(*resolved->table));
   if (!model.ok()) return model.status();
   lp::WriteLpFormat(*model, os);
   return Status::OK();

@@ -71,26 +71,6 @@ struct Plan {
   size_t direct_row_threshold = 0;
   QueryShape shape;
 
-  /// Which expression pipeline evaluation will run: vectorized (1024-row
-  /// batches) or scalar (row-at-a-time closures). Filled by the session
-  /// from ExecContext::vectorized and the query's batch-compilability.
-  bool vectorized = true;
-
-  /// Whether LP solves warm-start (dual-simplex re-optimization from the
-  /// parent/previous basis, cached refine models). Filled by the session
-  /// from ExecContext::warm_start.
-  bool warm_start = true;
-
-  /// Whether the sparse solver core runs (partial pricing + presolve +
-  /// reduced-cost fixing) or the full-Dantzig baseline. Filled by the
-  /// session from ExecContext::pricing.
-  bool pricing = true;
-
-  /// Whether warm dual re-solves use steepest-edge row pricing plus the
-  /// bound-flipping ratio test, or the plain most-violated-row / min-ratio
-  /// dual phase. Filled by the session from ExecContext::dse.
-  bool dse = true;
-
   /// Effective degree of parallelism: the resolved ExecContext::threads
   /// worker count the morsel-driven pipeline and the concurrent
   /// branch-and-bound run with (1 = serial). Filled by the session.

@@ -20,7 +20,7 @@
 namespace paql::ilp {
 namespace {
 
-/// The context-level warm_start toggle overrides the simplex-level one so
+/// The branch-and-bound-level warm_start toggle overrides the simplex one so
 /// one flag controls the whole solver stack (node LPs and the root-cut
 /// separation LP alike).
 lp::SimplexOptions SimplexOptionsFor(const BranchAndBoundOptions& options) {

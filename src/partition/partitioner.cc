@@ -288,6 +288,32 @@ size_t Partitioning::max_group_size() const {
   return best;
 }
 
+bool Partitioning::CoversLiveRows(const ColumnSource& table) const {
+  if (gid.size() != table.num_rows()) return false;
+  size_t grouped = 0;
+  for (const auto& g : groups) grouped += g.size();
+  if (grouped == gid.size()) return true;  // no kNoGroup entries at all
+  for (RowId r = 0; r < gid.size(); ++r) {
+    if (gid[r] == kNoGroup && !table.RowDeleted(r)) return false;
+  }
+  return true;
+}
+
+Result<std::vector<std::vector<RowId>>> Partitioning::GroupRows(
+    const std::vector<RowId>& rows) const {
+  std::vector<std::vector<RowId>> out(num_groups());
+  for (RowId r : rows) {
+    const uint32_t g = r < gid.size() ? gid[r] : kNoGroup;
+    if (g == kNoGroup) {
+      return Status::InvalidArgument(
+          StrCat("row ", r, " is in no group of the partitioning; it was "
+                 "built or absorbed for another version of the table"));
+    }
+    out[g].push_back(r);
+  }
+  return out;
+}
+
 Result<Partitioning> PartitionTable(const ColumnSource& table,
                                     const PartitionOptions& options) {
   if (options.size_threshold == 0) {

@@ -81,6 +81,18 @@ struct Partitioning {
 
   /// Largest group size (must be <= size_threshold).
   size_t max_group_size() const;
+
+  /// True when every live row of `table` has a group: the row spaces
+  /// match and no live row carries kNoGroup. A partitioning absorbed past
+  /// a delete-only batch keeps the row count but fails this for the
+  /// snapshot before the batch, where the deleted rows are still live.
+  bool CoversLiveRows(const relation::ColumnSource& table) const;
+
+  /// `rows` bucketed by group id (num_groups() buckets, input order kept
+  /// within each). Fails with InvalidArgument on a row this partitioning
+  /// does not cover — a snapshot it was not built or absorbed for.
+  Result<std::vector<std::vector<relation::RowId>>> GroupRows(
+      const std::vector<relation::RowId>& rows) const;
 };
 
 /// Partition `table` per `options`.

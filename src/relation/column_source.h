@@ -12,8 +12,8 @@
 // The method names and semantics are exactly Table's, so retargeting a
 // call site is a signature change, never a body change, and results are
 // bit-for-bit identical across implementations (the block-store
-// differential tests enforce this). Per-row accessors are the scalar
-// fallback path; hot loops go through LoadChunk/LoadChunkRaw, one virtual
+// differential tests enforce this). Per-row accessors serve single-row
+// evaluation; hot loops go through LoadChunk/LoadChunkRaw, one virtual
 // call per kChunkSize rows.
 //
 // Zone maps: a source may expose per-block min/max/null statistics over
@@ -46,7 +46,7 @@ class ColumnSource {
   virtual size_t num_rows() const = 0;
   size_t num_columns() const { return schema().num_columns(); }
 
-  // --- Per-row element access (scalar fallback paths) ---
+  // --- Per-row element access (single-row evaluation) ---
 
   virtual bool IsNull(RowId row, size_t col) const = 0;
 

@@ -184,29 +184,20 @@ Result<CompiledAggArg> CompileAggArg(const lang::AggCall& call,
       double v = fn(t, r);
       return std::isnan(v) ? 0.0 : v;
     };
-    // Batch twin: same NULL-to-zero mapping, lane at a time. Batch
-    // compilation failing is not an error — the scalar closure remains the
-    // reference and callers fall back to it.
-    auto batch = CompileScalarBatch(*call.arg, schema);
-    if (batch.ok()) {
-      BatchFn inner = std::move(*batch);
-      out.batch_value = [inner](const ColumnSource& t, const relation::RowSpan& span,
-                                relation::NumericBatch* b) {
-        inner(t, span, b);
-        for (uint32_t i = 0; i < span.len; ++i) {
-          if (std::isnan(b->values[i])) b->values[i] = 0.0;
-        }
-      };
-    }
+    // Batch twin: same NULL-to-zero mapping, lane at a time.
+    PAQL_ASSIGN_OR_RETURN(BatchFn inner, CompileScalarBatch(*call.arg, schema));
+    out.batch_value = [inner](const ColumnSource& t, const relation::RowSpan& span,
+                              relation::NumericBatch* b) {
+      inner(t, span, b);
+      for (uint32_t i = 0; i < span.len; ++i) {
+        if (std::isnan(b->values[i])) b->values[i] = 0.0;
+      }
+    };
   }
   if (call.filter) {
     PAQL_ASSIGN_OR_RETURN(out.filter, CompileBool(*call.filter, schema));
-    auto batch = CompileBoolBatch(*call.filter, schema);
-    if (batch.ok()) {
-      out.batch_filter = std::move(*batch);
-    } else {
-      out.batch_value = nullptr;  // scalar filter without a batch twin
-    }
+    PAQL_ASSIGN_OR_RETURN(out.batch_filter,
+                          CompileBoolBatch(*call.filter, schema));
   }
   return out;
 }
@@ -221,8 +212,6 @@ double AggregateSumScalar(const ColumnSource& table, const CompiledAggArg& arg) 
 }
 
 double AggregateSumVectorized(const ColumnSource& table, const CompiledAggArg& arg) {
-  PAQL_CHECK_MSG(arg.vectorized(),
-                 "AggregateSumVectorized on a non-vectorized aggregate");
   double total = 0;
   relation::NumericBatch batch;
   relation::SelectionVector sel;

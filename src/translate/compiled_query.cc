@@ -31,13 +31,6 @@ double LinearExpr::Coeff(const ColumnSource& table, RowId row) const {
   return total;
 }
 
-bool LinearExpr::vectorizable() const {
-  for (const Term& term : terms) {
-    if (!term.agg.vectorized()) return false;
-  }
-  return true;
-}
-
 void LinearExpr::CoeffBatch(const ColumnSource& table, const relation::RowSpan& span,
                             double* out) const {
   std::fill_n(out, span.len, 0.0);
@@ -71,12 +64,12 @@ Result<CompiledQuery> CompiledQuery::Compile(const lang::PackageQuery& query,
   if (query.repeat.has_value()) {
     cq.per_tuple_ub_ = static_cast<double>(*query.repeat + 1);
   }
-  // Rule 2: base predicate (plus its best-effort batch twin; the scalar
-  // closure remains the reference implementation).
+  // Rule 2: base predicate (the batch twin scans, the scalar closure tests
+  // single rows).
   if (query.where) {
     PAQL_ASSIGN_OR_RETURN(cq.base_pred_, CompileBool(*query.where, schema));
-    auto batch = CompileBoolBatch(*query.where, schema);
-    if (batch.ok()) cq.base_pred_batch_ = std::move(*batch);
+    PAQL_ASSIGN_OR_RETURN(cq.base_pred_batch_,
+                          CompileBoolBatch(*query.where, schema));
     cq.base_zone_ranges_ = ExtractZoneRanges(*query.where, schema);
   }
   // Rule 3: global predicates.
@@ -96,13 +89,6 @@ Result<CompiledQuery> CompiledQuery::Compile(const lang::PackageQuery& query,
         std::unique(cq.objective_columns_.begin(), cq.objective_columns_.end()),
         cq.objective_columns_.end());
   }
-  cq.fully_vectorizable_ =
-      (!cq.base_pred_ || static_cast<bool>(cq.base_pred_batch_)) &&
-      (!cq.has_objective_ || cq.objective_.vectorizable());
-  for (const Leaf& leaf : cq.leaves_) {
-    cq.fully_vectorizable_ =
-        cq.fully_vectorizable_ && leaf.expr.vectorizable();
-  }
   cq.offsets_updatable_ = cq.root_ == nullptr || !ContainsOr(*cq.root_);
   if (cq.root_ != nullptr && cq.offsets_updatable_) {
     CollectLeafOrder(*cq.root_, &cq.leaf_row_order_);
@@ -115,7 +101,7 @@ namespace {
 /// Strip a versioned table's deleted rows from a scan result. The batch
 /// pipeline scans the full row space (delete bits are not a column, so the
 /// kernels cannot see them); this post-pass restores the live-rows-only
-/// contract of the scalar path.
+/// contract of the base relation.
 void EraseDeletedRows(const ColumnSource& table, std::vector<RowId>* rows) {
   if (!table.has_deleted_rows()) return;
   std::erase_if(*rows, [&](RowId r) { return table.RowDeleted(r); });
@@ -136,7 +122,7 @@ std::vector<RowId> CompiledQuery::ComputeBaseRows(const ColumnSource& table) con
 
 std::vector<RowId> CompiledQuery::ComputeBaseRowsVectorized(
     const ColumnSource& table, int threads, ScanCounters* counters) const {
-  if (!base_pred_batch_) return ComputeBaseRows(table);
+  if (!base_pred_) return ComputeBaseRows(table);  // every live row
   std::vector<RowId> rows = FilterTableVectorized(
       table, base_pred_batch_, threads, &base_zone_ranges_, counters);
   EraseDeletedRows(table, &rows);
@@ -144,26 +130,12 @@ std::vector<RowId> CompiledQuery::ComputeBaseRowsVectorized(
 }
 
 std::vector<RowId> CompiledQuery::FilterBaseRows(
-    const ColumnSource& table, const std::vector<RowId>& rows, bool vectorized,
+    const ColumnSource& table, const std::vector<RowId>& rows,
     int threads) const {
-  if (!base_pred_) {
-    std::vector<RowId> out = rows;
-    EraseDeletedRows(table, &out);
-    return out;
-  }
-  if (vectorized && base_pred_batch_) {
-    std::vector<RowId> out =
-        FilterRowsVectorized(table, rows, base_pred_batch_, threads);
-    EraseDeletedRows(table, &out);
-    return out;
-  }
-  std::vector<RowId> out;
-  out.reserve(rows.size());
-  const bool check_deleted = table.has_deleted_rows();
-  for (RowId r : rows) {
-    if (check_deleted && table.RowDeleted(r)) continue;
-    if (base_pred_(table, r)) out.push_back(r);
-  }
+  std::vector<RowId> out =
+      base_pred_ ? FilterRowsVectorized(table, rows, base_pred_batch_, threads)
+                 : rows;
+  EraseDeletedRows(table, &out);
   return out;
 }
 
@@ -307,15 +279,13 @@ Result<CompiledQuery::Leaf> CompiledQuery::MakeComparisonLeaf(
     term.agg.value = [base, v](const ColumnSource& t, RowId r) {
       return base(t, r) - v;
     };
-    if (term.agg.batch_value) {
-      BatchFn batch_base = term.agg.batch_value;
-      term.agg.batch_value = [batch_base, v](const ColumnSource& t,
-                                             const relation::RowSpan& span,
-                                             relation::NumericBatch* b) {
-        batch_base(t, span, b);
-        for (uint32_t i = 0; i < span.len; ++i) b->values[i] -= v;
-      };
-    }
+    BatchFn batch_base = term.agg.batch_value;
+    term.agg.batch_value = [batch_base, v](const ColumnSource& t,
+                                           const relation::RowSpan& span,
+                                           relation::NumericBatch* b) {
+      batch_base(t, span, b);
+      for (uint32_t i = 0; i < span.len; ++i) b->values[i] -= v;
+    };
     leaf.expr.terms.push_back(std::move(term));
     leaf.name = StrCat("AVG cmp ", v);
     switch (cmp) {
@@ -562,13 +532,9 @@ Result<CompiledQuery::Leaf> CompiledQuery::MakeThresholdCountLeaf(
   if (call.filter) {
     PAQL_ASSIGN_OR_RETURN(base_filter, CompileBool(*call.filter, schema));
   }
-  LinearExpr::Term term;
-  term.agg.value = [](const ColumnSource&, RowId) { return 1.0; };
-  term.agg.filter = [value, base_filter, thresh, v](const ColumnSource& t,
-                                                    RowId r) -> bool {
-    if (base_filter && !base_filter(t, r)) return false;
-    double a = value(t, r);
-    if (std::isnan(a)) return false;  // SQL MIN/MAX skip NULLs
+  // SQL MIN/MAX skip NULLs: a NaN argument never passes the threshold.
+  auto passes = [thresh, v](double a) {
+    if (std::isnan(a)) return false;
     switch (thresh) {
       case CmpOp::kLt: return a < v;
       case CmpOp::kLe: return a <= v;
@@ -579,49 +545,40 @@ Result<CompiledQuery::Leaf> CompiledQuery::MakeThresholdCountLeaf(
     }
     return false;
   };
+  LinearExpr::Term term;
+  term.agg.value = [](const ColumnSource&, RowId) { return 1.0; };
+  term.agg.filter = [value, base_filter, passes](const ColumnSource& t,
+                                                 RowId r) -> bool {
+    if (base_filter && !base_filter(t, r)) return false;
+    return passes(value(t, r));
+  };
   // Batch twins: the value is the constant 1; the filter chains the
-  // subquery filter's batch twin with a lane-wise threshold test (NaN
-  // lanes fail it, like the scalar closure above).
-  auto batch_arg = CompileScalarBatch(*call.arg, schema);
-  Result<BatchPred> batch_base =
-      call.filter ? CompileBoolBatch(*call.filter, schema)
-                  : Result<BatchPred>(BatchPred());
-  if (batch_arg.ok() && batch_base.ok()) {
-    term.agg.batch_value = [](const ColumnSource&, const relation::RowSpan& span,
-                              relation::NumericBatch* b) {
-      std::fill_n(b->values.data(), span.len, 1.0);
-      b->ClearNulls();
-    };
-    BatchFn arg_fn = std::move(*batch_arg);
-    BatchPred base_fn = std::move(*batch_base);
-    term.agg.batch_filter = [arg_fn, base_fn, thresh, v](
-                                const ColumnSource& t, const relation::RowSpan& span,
-                                relation::SelectionVector* sel) {
-      if (base_fn) base_fn(t, span, sel);
-      if (sel->empty()) return;
-      relation::NumericBatch a;
-      arg_fn(t, span, &a);
-      uint32_t kept = 0;
-      for (uint32_t k = 0; k < sel->count; ++k) {
-        uint16_t i = sel->idx[k];
-        double av = a.values[i];
-        bool keep = false;
-        if (!std::isnan(av)) {
-          switch (thresh) {
-            case CmpOp::kLt: keep = av < v; break;
-            case CmpOp::kLe: keep = av <= v; break;
-            case CmpOp::kGt: keep = av > v; break;
-            case CmpOp::kGe: keep = av >= v; break;
-            case CmpOp::kEq: keep = av == v; break;
-            case CmpOp::kNe: keep = av != v; break;
-          }
-        }
-        sel->idx[kept] = i;
-        kept += keep ? 1 : 0;
-      }
-      sel->count = kept;
-    };
+  // subquery filter's batch twin with a lane-wise threshold test.
+  PAQL_ASSIGN_OR_RETURN(BatchFn arg_fn, CompileScalarBatch(*call.arg, schema));
+  BatchPred base_fn;
+  if (call.filter) {
+    PAQL_ASSIGN_OR_RETURN(base_fn, CompileBoolBatch(*call.filter, schema));
   }
+  term.agg.batch_value = [](const ColumnSource&, const relation::RowSpan& span,
+                            relation::NumericBatch* b) {
+    std::fill_n(b->values.data(), span.len, 1.0);
+    b->ClearNulls();
+  };
+  term.agg.batch_filter = [arg_fn, base_fn, passes](
+                              const ColumnSource& t, const relation::RowSpan& span,
+                              relation::SelectionVector* sel) {
+    if (base_fn) base_fn(t, span, sel);
+    if (sel->empty()) return;
+    relation::NumericBatch a;
+    arg_fn(t, span, &a);
+    uint32_t kept = 0;
+    for (uint32_t k = 0; k < sel->count; ++k) {
+      uint16_t i = sel->idx[k];
+      sel->idx[kept] = i;
+      kept += passes(a.values[i]) ? 1 : 0;
+    }
+    sel->count = kept;
+  };
   leaf.expr.terms.push_back(std::move(term));
   leaf.expr.integral = true;  // it is a COUNT
   leaf.lo = lo;
@@ -757,13 +714,12 @@ Result<lp::Model> CompiledQuery::BuildModel(const ColumnSource& table,
   segment.rows = &rows;
   segment.ub_override = options.ub_override;
   return BuildModelSegments({segment}, options.activity_offset,
-                            options.vectorized, options.threads);
+                            options.threads);
 }
 
 Result<lp::Model> CompiledQuery::BuildModelSegments(
     const std::vector<Segment>& segments,
-    const std::vector<double>* activity_offset, bool vectorized,
-    int threads) const {
+    const std::vector<double>* activity_offset, int threads) const {
   size_t total_rows = 0;
   for (const Segment& seg : segments) {
     if (seg.table == nullptr || seg.rows == nullptr) {
@@ -782,27 +738,19 @@ Result<lp::Model> CompiledQuery::BuildModelSegments(
   model.set_sense(maximize_ ? lp::Sense::kMaximize : lp::Sense::kMinimize);
 
   // Coefficients of one linear expression over one segment, through the
-  // batch pipeline (chunked gather spans) when enabled and compiled, the
-  // per-row closures otherwise. Both orders are identical, so the model
-  // does not depend on the pipeline — and every coefficient lands in its
+  // batch pipeline (chunked gather spans). Every coefficient lands in its
   // own slot, so the morsel-parallel fill (threads > 1) is bit-identical
-  // to the serial one for either pipeline.
-  auto segment_coeffs = [vectorized, threads](const LinearExpr& expr,
-                                              const Segment& seg, double* out) {
+  // to the serial one.
+  auto segment_coeffs = [threads](const LinearExpr& expr, const Segment& seg,
+                                  double* out) {
     const std::vector<RowId>& rows = *seg.rows;
     auto fill = [&](size_t begin, size_t end) {
-      if (vectorized && expr.vectorizable()) {
-        for (size_t off = begin; off < end; off += relation::kChunkSize) {
-          relation::RowSpan span;
-          span.rows = rows.data() + off;
-          span.len = static_cast<uint32_t>(
-              std::min(relation::kChunkSize, end - off));
-          expr.CoeffBatch(*seg.table, span, out + off);
-        }
-      } else {
-        for (size_t k = begin; k < end; ++k) {
-          out[k] = expr.Coeff(*seg.table, rows[k]);
-        }
+      for (size_t off = begin; off < end; off += relation::kChunkSize) {
+        relation::RowSpan span;
+        span.rows = rows.data() + off;
+        span.len = static_cast<uint32_t>(
+            std::min(relation::kChunkSize, end - off));
+        expr.CoeffBatch(*seg.table, span, out + off);
       }
     };
     if (threads > 1 && rows.size() > relation::kMorselRows) {
@@ -945,7 +893,7 @@ Result<lp::Model> CompiledQuery::BuildModelSegments(
   // OR-free trees add exactly one row per leaf (in leaf_row_order_) and no
   // indicator columns, so the CSC column view the simplex solver needs can
   // be assembled here, straight from the per-leaf coefficient vectors the
-  // (vectorized) pipeline just produced — the solver then never re-walks
+  // batch pipeline just produced — the solver then never re-walks
   // the rows. Row bounds live in RowDef, so UpdateModelOffsets keeps
   // working against the attached view unchanged. OR trees grow big-M
   // indicator columns whose layout only the emitter knows; the solver
@@ -997,16 +945,6 @@ std::vector<double> CompiledQuery::LeafActivitiesVectorized(
   // only — each leaf's bits match the serial evaluation exactly.
   auto leaf_activity = [&](size_t li) {
     const LinearExpr& expr = leaves_[li].expr;
-    if (!expr.vectorizable()) {
-      // Scalar fallback for this leaf, same loop as LeafActivities.
-      double total = 0;
-      for (size_t k = 0; k < rows.size(); ++k) {
-        if (multiplicity[k] == 0) continue;
-        total += expr.Coeff(table, rows[k]) *
-                 static_cast<double>(multiplicity[k]);
-      }
-      return total;
-    }
     std::vector<double> coeff(relation::kChunkSize);
     double total = 0;
     for (size_t off = 0; off < rows.size(); off += relation::kChunkSize) {

@@ -66,9 +66,6 @@ struct LinearExpr {
   /// Per-tuple coefficient: sum_k scale_k * (filter_k ? value_k : 0).
   double Coeff(const relation::ColumnSource& table, relation::RowId row) const;
 
-  /// True when every term carries batch twins, so CoeffBatch is usable.
-  bool vectorizable() const;
-
   /// Batch twin of Coeff: out[i] = Coeff(span.row(i)) for i < span.len,
   /// accumulated term by term in the same order (bit-identical result).
   void CoeffBatch(const relation::ColumnSource& table, const relation::RowSpan& span,
@@ -92,19 +89,19 @@ class CompiledQuery {
   bool maximize() const { return maximize_; }
   const std::string& package_name() const { return package_name_; }
 
-  /// Rows of `table` satisfying the WHERE clause (the base relation R_beta).
+  /// Rows of `table` satisfying the WHERE clause (the base relation
+  /// R_beta), one BaseAccepts call per row: the reference the batch scan
+  /// is tested against.
   std::vector<relation::RowId> ComputeBaseRows(
       const relation::ColumnSource& table) const;
 
-  /// Vectorized twin of ComputeBaseRows: scans the table in kChunkSize-row
-  /// batches through the compiled BatchPred. Falls back to the scalar path
-  /// when the WHERE clause has no batch compilation; the result is always
+  /// The base relation through the batch pipeline: scans the table in
+  /// kChunkSize-row batches through the compiled BatchPred, with a result
   /// identical to ComputeBaseRows. `threads` > 1 scans morsels in
-  /// parallel off the shared pool (same result bit for bit; the batch
-  /// fallback-to-scalar path stays serial). Sources with block statistics
-  /// (relation::DiskTable) skip whole blocks whose zone maps are disjoint
-  /// from the WHERE clause's extracted ranges; `counters` (may be null)
-  /// receives the scanned/pruned block counts.
+  /// parallel off the shared pool (same result bit for bit). Sources with
+  /// block statistics (relation::DiskTable) skip whole blocks whose zone
+  /// maps are disjoint from the WHERE clause's extracted ranges;
+  /// `counters` (may be null) receives the scanned/pruned block counts.
   std::vector<relation::RowId> ComputeBaseRowsVectorized(
       const relation::ColumnSource& table, int threads = 1,
       ScanCounters* counters = nullptr) const;
@@ -116,11 +113,11 @@ class CompiledQuery {
     return base_zone_ranges_;
   }
 
-  /// The subset of `rows` satisfying the WHERE clause (all of them when
-  /// the query has none), through the batch or scalar pipeline.
+  /// The live subset of `rows` satisfying the WHERE clause (all live rows
+  /// when the query has none), through the batch pipeline.
   std::vector<relation::RowId> FilterBaseRows(
       const relation::ColumnSource& table, const std::vector<relation::RowId>& rows,
-      bool vectorized, int threads = 1) const;
+      int threads = 1) const;
 
   /// Per-row base-predicate test (true when the query has no WHERE).
   /// Deleted rows of a versioned table never qualify: the base relation
@@ -129,12 +126,6 @@ class CompiledQuery {
     if (table.has_deleted_rows() && table.RowDeleted(row)) return false;
     return !base_pred_ || base_pred_(table, row);
   }
-
-  /// True when every compiled piece (WHERE, constraint leaves, objective)
-  /// has a batch twin, i.e. the whole evaluation can run vectorized. The
-  /// vectorized entry points degrade gracefully piece by piece when this
-  /// is false; strategies use it to report which pipeline actually ran.
-  bool fully_vectorizable() const { return fully_vectorizable_; }
 
   // --- ILP construction --------------------------------------------------
 
@@ -147,11 +138,6 @@ class CompiledQuery {
     /// the model (the refine query's p-bar aggregates). Row bounds are
     /// shifted by these amounts. Empty = all zeros.
     const std::vector<double>* activity_offset = nullptr;
-    /// Compute objective and constraint coefficients through the batch
-    /// kernels (chunk at a time) instead of per-row closures. Pieces
-    /// without batch twins fall back per leaf; the model is bit-identical
-    /// either way.
-    bool vectorized = false;
     /// Workers for the coefficient fills (> 1 = morsel-parallel off the
     /// shared pool). Every coefficient lands in its own slot, so the
     /// model is bit-identical for any worker count.
@@ -173,13 +159,12 @@ class CompiledQuery {
 
   /// Build the ILP over the concatenated candidate segments. Variable k of
   /// the model corresponds to the k-th row across all segments in order.
-  /// `activity_offset` (may be nullptr) shifts each leaf's bounds;
-  /// `vectorized` selects the batch coefficient pipeline (the model is
-  /// bit-identical either way).
+  /// `activity_offset` (may be nullptr) shifts each leaf's bounds. The
+  /// coefficients come from the batch kernels, chunk at a time, and equal
+  /// LinearExpr::Coeff bit for bit.
   Result<lp::Model> BuildModelSegments(
       const std::vector<Segment>& segments,
-      const std::vector<double>* activity_offset, bool vectorized = false,
-      int threads = 1) const;
+      const std::vector<double>* activity_offset, int threads = 1) const;
 
   /// True when activity offsets only move row bounds: the SUCH THAT tree
   /// has no OR, so the model has exactly one row per leaf and no big-M
@@ -231,8 +216,7 @@ class CompiledQuery {
       const std::vector<int64_t>& multiplicity) const;
 
   /// Vectorized twin of LeafActivities (chunked gather through the batch
-  /// kernels, same accumulation order — bit-identical result). Leaves
-  /// without batch twins fall back to the scalar closures. `threads` > 1
+  /// kernels, same accumulation order — bit-identical result). `threads` > 1
   /// evaluates the leaves in parallel (each leaf's order-sensitive float
   /// accumulation stays inside one worker, so the activities are
   /// bit-identical for any worker count).
@@ -330,9 +314,8 @@ class CompiledQuery {
   std::string package_name_;
   double per_tuple_ub_ = lp::kInf;
   RowPred base_pred_;                 // empty when no WHERE
-  BatchPred base_pred_batch_;         // batch twin; may be empty
+  BatchPred base_pred_batch_;         // batch twin; empty when no WHERE
   std::vector<ZoneRange> base_zone_ranges_;  // WHERE-implied block ranges
-  bool fully_vectorizable_ = true;
   std::vector<Leaf> leaves_;
   std::unique_ptr<Node> root_;        // null when no SUCH THAT
   bool offsets_updatable_ = true;     // no OR: offsets only move row bounds

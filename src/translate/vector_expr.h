@@ -12,8 +12,9 @@
 // differential test enforces this): NULL lanes carry NaN exactly like
 // RowFn, NaN comparisons are false, string comparisons and IS NULL read
 // the table directly, and accumulation orders match the scalar loops.
-// The scalar RowFn/RowPred closures remain the reference implementation;
-// callers fall back to them whenever batch compilation is unavailable.
+// Every scan and coefficient fill runs on these kernels; the scalar
+// RowFn/RowPred closures evaluate single rows and are the reference the
+// kernels are tested against. Both compilers accept the same fragment.
 #ifndef PAQL_TRANSLATE_VECTOR_EXPR_H_
 #define PAQL_TRANSLATE_VECTOR_EXPR_H_
 

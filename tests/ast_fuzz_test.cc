@@ -12,6 +12,7 @@
 #include "paql/ast.h"
 #include "paql/parser.h"
 #include "relation/table.h"
+#include "tests/coeff_reference_util.h"
 #include "translate/compiled_query.h"
 
 namespace paql::lang {
@@ -156,7 +157,8 @@ TEST_P(AstFuzzTest, BatchCompilePathNeverCrashesAndAgreesWithScalar) {
   // Push every generated query through the vectorized compile path:
   // unsupported shapes (aggregate products, AVG compositions, ...) must be
   // rejected cleanly — never crash the batch compiler — and whatever does
-  // compile must evaluate identically through both pipelines.
+  // compile must scan and fill coefficients exactly like the per-row
+  // scalar closures.
   PackageQuery q = RandomQuery(GetParam() + 20000);
   relation::Schema schema({{"a", relation::DataType::kDouble},
                            {"b", relation::DataType::kDouble},
@@ -181,19 +183,10 @@ TEST_P(AstFuzzTest, BatchCompilePathNeverCrashesAndAgreesWithScalar) {
   EXPECT_EQ(base, cq->ComputeBaseRowsVectorized(table))
       << "query was:\n" << ToString(q);
 
-  translate::CompiledQuery::BuildOptions vec;
-  vec.vectorized = true;
-  auto m_scalar = cq->BuildModel(table, base);
-  auto m_vector = cq->BuildModel(table, base, vec);
-  ASSERT_EQ(m_scalar.ok(), m_vector.ok()) << "query was:\n" << ToString(q);
-  if (m_scalar.ok()) {
-    EXPECT_EQ(m_scalar->obj(), m_vector->obj())
-        << "query was:\n" << ToString(q);
-    ASSERT_EQ(m_scalar->num_rows(), m_vector->num_rows());
-    for (int i = 0; i < m_scalar->num_rows(); ++i) {
-      EXPECT_EQ(m_scalar->rows()[i].coefs, m_vector->rows()[i].coefs)
-          << "row " << i << "; query was:\n" << ToString(q);
-    }
+  auto model = cq->BuildModel(table, base);
+  if (model.ok()) {
+    translate::ExpectModelMatchesScalarCoeffs(
+        *cq, table, base, *model, "query was:\n" + ToString(q));
   }
 }
 

@@ -1,18 +1,19 @@
 // Differential testing of the evaluation pipelines on randomly generated
 // PaQL queries:
 //
-//   (a) vectorized vs scalar — base-relation filtering, ILP coefficient
-//       construction, and leaf activities must agree BIT FOR BIT on random
-//       tables with NULLs (the batch kernels replay the scalar pipeline's
-//       exact floating-point operation order);
+//   (a) vectorized vs scalar — base-relation filtering, ILP coefficients,
+//       and leaf activities from the batch pipeline must agree BIT FOR BIT
+//       with the per-row scalar closures on random tables with NULLs (the
+//       batch kernels replay the scalar closures' exact floating-point
+//       operation order);
 //   (b) DIRECT vs NAIVE — on tiny instances the whole-problem ILP and the
 //       exhaustive self-join enumeration must agree on feasibility and on
 //       the optimal objective value.
 //
-//   (c) warm vs cold solver — with ExecContext::warm_start on and off, the
-//       DIRECT, SKETCHREFINE, and top-k paths must agree on feasibility and
-//       objective value: the dual-simplex warm start is an accelerator, not
-//       a different algorithm.
+//   (c) warm vs cold solver — with BranchAndBoundOptions::warm_start on
+//       and off, the DIRECT, SKETCHREFINE, and top-k paths must agree on
+//       feasibility and objective value: the dual-simplex warm start is an
+//       accelerator, not a different algorithm.
 //
 // Every case runs under a SCOPED_TRACE carrying the reproducing seed and
 // the generated query text, so a failure prints everything needed to
@@ -32,6 +33,7 @@
 #include "paql/ast.h"
 #include "partition/partitioner.h"
 #include "relation/table.h"
+#include "tests/coeff_reference_util.h"
 #include "translate/compiled_query.h"
 
 namespace paql {
@@ -55,6 +57,7 @@ using relation::Schema;
 using relation::Table;
 using relation::Value;
 using translate::CompiledQuery;
+using translate::ExpectModelMatchesScalarCoeffs;
 
 constexpr const char* kNumericCols[] = {"a", "b", "i"};
 constexpr const char* kColors[] = {"red", "green", "blue"};
@@ -226,14 +229,14 @@ PackageQuery RandomQueryB(Rng* rng, int cardinality) {
 }
 
 /// Exact model equality (variables, objective, rows).
-void ExpectSameModel(const lp::Model& scalar, const lp::Model& vectorized) {
-  ASSERT_EQ(scalar.num_vars(), vectorized.num_vars());
-  EXPECT_EQ(scalar.obj(), vectorized.obj());
-  EXPECT_EQ(scalar.ub(), vectorized.ub());
-  ASSERT_EQ(scalar.num_rows(), vectorized.num_rows());
-  for (int i = 0; i < scalar.num_rows(); ++i) {
-    const lp::RowDef& a = scalar.rows()[i];
-    const lp::RowDef& b = vectorized.rows()[i];
+void ExpectSameModel(const lp::Model& lhs, const lp::Model& rhs) {
+  ASSERT_EQ(lhs.num_vars(), rhs.num_vars());
+  EXPECT_EQ(lhs.obj(), rhs.obj());
+  EXPECT_EQ(lhs.ub(), rhs.ub());
+  ASSERT_EQ(lhs.num_rows(), rhs.num_rows());
+  for (int i = 0; i < lhs.num_rows(); ++i) {
+    const lp::RowDef& a = lhs.rows()[i];
+    const lp::RowDef& b = rhs.rows()[i];
     EXPECT_EQ(a.vars, b.vars) << "row " << i << " (" << a.name << ")";
     EXPECT_EQ(a.coefs, b.coefs) << "row " << i << " (" << a.name << ")";
     EXPECT_EQ(a.lo, b.lo) << "row " << i;
@@ -259,23 +262,17 @@ TEST(DifferentialTest, VectorizedMatchesScalarOn200RandomQueries) {
 
     auto cq = CompiledQuery::Compile(query, table.schema());
     ASSERT_TRUE(cq.ok()) << cq.status();
-    EXPECT_TRUE(cq->fully_vectorizable());
 
     // Base relation: identical row sets.
     std::vector<RowId> base = cq->ComputeBaseRows(table);
     ASSERT_EQ(base, cq->ComputeBaseRowsVectorized(table));
 
-    // Whole ILP model: identical objective and constraint coefficients.
-    // (Unbounded-repetition queries with OR predicates have no big-M model;
-    // both pipelines must then fail identically.)
-    CompiledQuery::BuildOptions vec;
-    vec.vectorized = true;
-    auto m_scalar = cq->BuildModel(table, base);
-    auto m_vector = cq->BuildModel(table, base, vec);
-    ASSERT_EQ(m_scalar.ok(), m_vector.ok())
-        << m_scalar.status() << " vs " << m_vector.status();
-    if (m_scalar.ok()) {
-      ExpectSameModel(*m_scalar, *m_vector);
+    // Whole ILP model: every objective and constraint coefficient equals
+    // the scalar per-row value. (Unbounded-repetition queries with OR
+    // predicates have no big-M model.)
+    auto model = cq->BuildModel(table, base);
+    if (model.ok()) {
+      ExpectModelMatchesScalarCoeffs(*cq, table, base, *model);
       ++models_built;
     }
     if (!base.empty()) ++nonempty_bases;
@@ -326,16 +323,13 @@ TEST(DifferentialTest, SimdMatchesForcedScalarOn200RandomQueries) {
     auto cq = CompiledQuery::Compile(query, table.schema());
     ASSERT_TRUE(cq.ok()) << cq.status();
 
-    CompiledQuery::BuildOptions vec;
-    vec.vectorized = true;
-
     simd::ForceScalar(false);
     std::vector<RowId> base_simd = cq->ComputeBaseRowsVectorized(table);
-    auto m_simd = cq->BuildModel(table, base_simd, vec);
+    auto m_simd = cq->BuildModel(table, base_simd);
 
     simd::ForceScalar(true);
     std::vector<RowId> base_scalar = cq->ComputeBaseRowsVectorized(table);
-    auto m_scalar = cq->BuildModel(table, base_scalar, vec);
+    auto m_scalar = cq->BuildModel(table, base_scalar);
     simd::ForceScalar(false);
 
     ASSERT_EQ(base_simd, base_scalar);
@@ -366,7 +360,7 @@ TEST(DifferentialTest, SimdMatchesForcedScalarOn200RandomQueries) {
 }
 
 // ---------------------------------------------------------------------------
-// (b) DIRECT vs NAIVE on tiny instances, plus the end-to-end toggle
+// (b) DIRECT vs NAIVE on tiny instances, plus the translate-level check
 // ---------------------------------------------------------------------------
 
 TEST(DifferentialTest, DirectMatchesNaiveOn200TinyInstances) {
@@ -384,6 +378,14 @@ TEST(DifferentialTest, DirectMatchesNaiveOn200TinyInstances) {
 
     auto cq = CompiledQuery::Compile(query, table.schema());
     ASSERT_TRUE(cq.ok()) << cq.status();
+
+    // The batch scan and coefficient fill DIRECT runs on must reproduce
+    // the scalar per-row reference on the same query, bit for bit.
+    std::vector<RowId> base = cq->ComputeBaseRows(table);
+    ASSERT_EQ(base, cq->ComputeBaseRowsVectorized(table));
+    auto model = cq->BuildModel(table, base);
+    ASSERT_TRUE(model.ok()) << model.status();
+    ExpectModelMatchesScalarCoeffs(*cq, table, base, *model);
 
     NaiveSelfJoinEvaluator naive(table);
     auto naive_result = naive.Evaluate(*cq, cardinality);
@@ -413,18 +415,6 @@ TEST(DifferentialTest, DirectMatchesNaiveOn200TinyInstances) {
       EXPECT_LE(std::abs(n - d), 1e-6 * (1.0 + std::abs(n)))
           << "naive " << n << " vs direct " << d;
     }
-
-    // End-to-end toggle: the scalar pipeline must reproduce the vectorized
-    // run exactly (same package, same objective).
-    DirectOptions scalar_opts;
-    scalar_opts.vectorized = false;
-    DirectEvaluator scalar_direct(table, scalar_opts);
-    auto scalar_result = scalar_direct.Evaluate(*cq);
-    ASSERT_TRUE(scalar_result.ok()) << scalar_result.status();
-    EXPECT_EQ(direct_result->package.rows, scalar_result->package.rows);
-    EXPECT_EQ(direct_result->package.multiplicity,
-              scalar_result->package.multiplicity);
-    EXPECT_EQ(direct_result->objective, scalar_result->objective);
   }
   // Both outcomes must actually occur, or the harness proves nothing.
   EXPECT_GE(feasible, 25);
@@ -457,8 +447,8 @@ void ExpectSameOutcome(const CompiledQuery& cq, const Table& table,
   EXPECT_LE(std::abs(warm->objective - cold->objective),
             1e-6 * (1.0 + std::abs(cold->objective)))
       << "warm " << warm->objective << " vs cold " << cold->objective;
-  // The kill switch must actually kill: a cold run may never take the
-  // dual-simplex path.
+  // Turning warm starts off must actually turn them off: a cold run may
+  // never take the dual-simplex path.
   EXPECT_EQ(cold->stats.warm_lp_solves, 0);
   EXPECT_EQ(cold->stats.warm_model_reuses, 0);
 }
@@ -512,7 +502,7 @@ TEST(DifferentialTest, WarmMatchesColdOn200RandomQueries) {
     switch (arm) {
       case kDirect: {
         DirectOptions warm_opts, cold_opts;
-        cold_opts.warm_start = false;
+        cold_opts.branch_and_bound.warm_start = false;
         auto warm = DirectEvaluator(table, warm_opts).Evaluate(*cq);
         auto cold = DirectEvaluator(table, cold_opts).Evaluate(*cq);
         ExpectSameOutcome(*cq, table, warm, cold, &feasible, &infeasible);
@@ -526,7 +516,7 @@ TEST(DifferentialTest, WarmMatchesColdOn200RandomQueries) {
         auto partitioning = partition::PartitionTable(table, popts);
         ASSERT_TRUE(partitioning.ok()) << partitioning.status();
         core::SketchRefineOptions warm_opts, cold_opts;
-        cold_opts.warm_start = false;
+        cold_opts.branch_and_bound.warm_start = false;
         auto warm = core::SketchRefineEvaluator(table, *partitioning,
                                                 warm_opts)
                         .Evaluate(*cq);
@@ -539,7 +529,7 @@ TEST(DifferentialTest, WarmMatchesColdOn200RandomQueries) {
       }
       case kRatio: {
         core::RatioObjectiveOptions warm_opts, cold_opts;
-        cold_opts.warm_start = false;
+        cold_opts.branch_and_bound.warm_start = false;
         auto warm =
             core::RatioObjectiveEvaluator(table, warm_opts).Evaluate(query);
         auto cold =
@@ -551,7 +541,7 @@ TEST(DifferentialTest, WarmMatchesColdOn200RandomQueries) {
       case kTopK: {
         core::TopKOptions warm_opts, cold_opts;
         warm_opts.k = cold_opts.k = 3;
-        cold_opts.warm_start = false;
+        cold_opts.branch_and_bound.warm_start = false;
         auto warm = core::EnumerateTopPackages(table, *cq, warm_opts);
         auto cold = core::EnumerateTopPackages(table, *cq, cold_opts);
         if (!cold.ok()) {
@@ -612,11 +602,19 @@ void ExpectSamePricingOutcome(const CompiledQuery& cq, const Table& table,
   EXPECT_LE(std::abs(partial->objective - full->objective),
             1e-6 * (1.0 + std::abs(full->objective)))
       << "partial " << partial->objective << " vs full " << full->objective;
-  // The kill switch must restore the pre-sparse path exactly: no candidate
-  // pricing, no presolve reductions, no reduced-cost fixing.
+  // The baseline settings must restore the pre-sparse path exactly: no
+  // candidate pricing, no presolve reductions, no reduced-cost fixing.
   EXPECT_EQ(full->stats.pricing_candidate_hits, 0);
   EXPECT_EQ(full->stats.rc_fixed_vars, 0);
   EXPECT_EQ(full->stats.presolve_fixed_vars, 0);
+}
+
+/// The pre-sparse solver baseline: full Dantzig pricing, no presolve, no
+/// reduced-cost fixing.
+void UseFullDantzig(engine::ExecContext* exec) {
+  exec->branch_and_bound.simplex.partial_pricing = false;
+  exec->branch_and_bound.presolve = false;
+  exec->branch_and_bound.reduced_cost_fixing = false;
 }
 
 TEST(DifferentialTest, PartialPricingMatchesFullDantzigOn200RandomQueries) {
@@ -652,7 +650,7 @@ TEST(DifferentialTest, PartialPricingMatchesFullDantzigOn200RandomQueries) {
     switch (arm) {
       case kDirect: {
         DirectOptions partial_opts, full_opts;
-        full_opts.pricing = false;
+        UseFullDantzig(&full_opts);
         auto partial = DirectEvaluator(table, partial_opts).Evaluate(*cq);
         auto full = DirectEvaluator(table, full_opts).Evaluate(*cq);
         ExpectSamePricingOutcome(*cq, table, partial, full, &feasible,
@@ -669,7 +667,7 @@ TEST(DifferentialTest, PartialPricingMatchesFullDantzigOn200RandomQueries) {
         auto partitioning = partition::PartitionTable(table, popts);
         ASSERT_TRUE(partitioning.ok()) << partitioning.status();
         core::SketchRefineOptions partial_opts, full_opts;
-        full_opts.pricing = false;
+        UseFullDantzig(&full_opts);
         auto partial = core::SketchRefineEvaluator(table, *partitioning,
                                                    partial_opts)
                            .Evaluate(*cq);
@@ -686,7 +684,7 @@ TEST(DifferentialTest, PartialPricingMatchesFullDantzigOn200RandomQueries) {
       case kTopK: {
         core::TopKOptions partial_opts, full_opts;
         partial_opts.k = full_opts.k = 3;
-        full_opts.pricing = false;
+        UseFullDantzig(&full_opts);
         auto partial = core::EnumerateTopPackages(table, *cq, partial_opts);
         auto full = core::EnumerateTopPackages(table, *cq, full_opts);
         if (!full.ok()) {

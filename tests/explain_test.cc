@@ -87,7 +87,9 @@ TEST(ExplainTest, SketchRefinePlanDescribesPartitioning) {
       SUCH THAT COUNT(P.*) = 4 AND SUM(P.cost) <= 25
       MINIMIZE SUM(P.cost))",
                                  t);
-  std::string plan = ExplainSketchRefine(cq, t, *part);
+  auto explained = ExplainSketchRefine(cq, t, *part);
+  ASSERT_TRUE(explained.ok()) << explained.status();
+  const std::string& plan = *explained;
   EXPECT_NE(plan.find("SKETCHREFINE plan"), std::string::npos);
   EXPECT_NE(plan.find("tau = 32"), std::string::npos);
   EXPECT_NE(plan.find("cost, gain"), std::string::npos);
@@ -109,7 +111,9 @@ TEST(ExplainTest, RadiusLimitedPartitioningMentionsGuarantee) {
       "SELECT PACKAGE(R) AS P FROM Items R REPEAT 0 "
       "SUCH THAT COUNT(P.*) = 3 MINIMIZE SUM(P.cost)",
       t);
-  std::string plan = ExplainSketchRefine(cq, t, *part);
+  auto explained = ExplainSketchRefine(cq, t, *part);
+  ASSERT_TRUE(explained.ok()) << explained.status();
+  const std::string& plan = *explained;
   EXPECT_NE(plan.find("Theorem 3"), std::string::npos);
 }
 
@@ -125,7 +129,9 @@ TEST(ExplainTest, BasePredicateNarrowsGroups) {
       WHERE R.cost <= 3
       SUCH THAT COUNT(P.*) = 2)",
                                  t);
-  std::string plan = ExplainSketchRefine(cq, t, *part);
+  auto explained = ExplainSketchRefine(cq, t, *part);
+  ASSERT_TRUE(explained.ok()) << explained.status();
+  const std::string& plan = *explained;
   // The WHERE clause empties some groups; the plan reports candidates.
   EXPECT_NE(plan.find("with candidates"), std::string::npos);
   EXPECT_NE(plan.find("candidate rows"), std::string::npos);

@@ -6,6 +6,7 @@
 #include "ilp/cuts.h"
 #include "lp/lp_format.h"
 #include "paql/parser.h"
+#include "tests/coeff_reference_util.h"
 #include "translate/compiled_query.h"
 
 namespace paql::translate {
@@ -414,7 +415,8 @@ TEST(CompiledQueryTest, TranslatedBudgetRowsYieldCoverCuts) {
 TEST(CompiledQueryTest, BuildModelAttachesCscMatchingRows) {
   // OR-free trees attach a CSC column view built straight from the leaf
   // coefficient vectors; it must agree entry-for-entry with rebuilding the
-  // view from the emitted rows (the simplex solver's fallback path).
+  // view from the emitted rows (the simplex solver's own CSC build), and
+  // every coefficient must equal the scalar per-row value.
   Table t = MakeRecipes();
   CompiledQuery cq = MustCompile(
       "SELECT PACKAGE(R) AS P FROM T R REPEAT 1 "
@@ -424,25 +426,21 @@ TEST(CompiledQueryTest, BuildModelAttachesCscMatchingRows) {
       "MINIMIZE SUM(P.fat)",
       t);
   std::vector<RowId> rows = cq.ComputeBaseRows(t);
-  for (bool vectorized : {false, true}) {
-    CompiledQuery::BuildOptions opts;
-    opts.vectorized = vectorized;
-    auto model = cq.BuildModel(t, rows, opts);
-    ASSERT_TRUE(model.ok()) << model.status();
-    const lp::SparseMatrix* attached = model->attached_columns();
-    ASSERT_NE(attached, nullptr) << "vectorized=" << vectorized;
-    lp::SparseMatrix rebuilt = lp::SparseMatrix::FromModel(*model);
-    ASSERT_EQ(attached->num_rows(), rebuilt.num_rows());
-    ASSERT_EQ(attached->num_cols(), rebuilt.num_cols());
-    ASSERT_EQ(attached->num_nonzeros(), rebuilt.num_nonzeros());
-    for (int j = 0; j < rebuilt.num_cols(); ++j) {
-      ASSERT_EQ(attached->begin(j), rebuilt.begin(j)) << "col " << j;
-      for (size_t k = rebuilt.begin(j); k < rebuilt.end(j); ++k) {
-        EXPECT_EQ(attached->entry_row(k), rebuilt.entry_row(k))
-            << "col " << j;
-        EXPECT_EQ(attached->entry_value(k), rebuilt.entry_value(k))
-            << "col " << j;
-      }
+  auto model = cq.BuildModel(t, rows);
+  ASSERT_TRUE(model.ok()) << model.status();
+  ExpectModelMatchesScalarCoeffs(cq, t, rows, *model);
+  const lp::SparseMatrix* attached = model->attached_columns();
+  ASSERT_NE(attached, nullptr);
+  lp::SparseMatrix rebuilt = lp::SparseMatrix::FromModel(*model);
+  ASSERT_EQ(attached->num_rows(), rebuilt.num_rows());
+  ASSERT_EQ(attached->num_cols(), rebuilt.num_cols());
+  ASSERT_EQ(attached->num_nonzeros(), rebuilt.num_nonzeros());
+  for (int j = 0; j < rebuilt.num_cols(); ++j) {
+    ASSERT_EQ(attached->begin(j), rebuilt.begin(j)) << "col " << j;
+    for (size_t k = rebuilt.begin(j); k < rebuilt.end(j); ++k) {
+      EXPECT_EQ(attached->entry_row(k), rebuilt.entry_row(k)) << "col " << j;
+      EXPECT_EQ(attached->entry_value(k), rebuilt.entry_value(k))
+          << "col " << j;
     }
   }
 

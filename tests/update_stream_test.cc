@@ -19,7 +19,9 @@
 #include "common/rng.h"
 #include "common/str_util.h"
 #include "core/direct.h"
+#include "core/explain.h"
 #include "core/incremental.h"
+#include "core/parallel.h"
 #include "core/sketch_refine.h"
 #include "engine/engine.h"
 #include "paql/parser.h"
@@ -350,6 +352,100 @@ TEST(SessionUpdateTest, RepairStaysIncrementalWhenTauDriftsWithRowCount) {
   // Incremental repair promises no-worse, not globally optimal: the
   // inserts only displace previous picks whose groups went dirty.
   EXPECT_GE(repaired->objective, initial->objective - 1e-9);
+}
+
+// ---------------------------------------------------------------------------
+// Snapshots older than a delete-only batch
+// ---------------------------------------------------------------------------
+
+TEST(SnapshotPartitioningTest, AbsorbedDeleteIsRejectedOnTheOlderSnapshot) {
+  // A delete-only batch keeps the row count, so a partitioning absorbed
+  // past it has the old snapshot's row space — but the deleted rows,
+  // still live in that snapshot, are in no group. Every evaluator that
+  // groups the base relation must refuse the pair instead of indexing
+  // with kNoGroup.
+  auto v1 = TableVersion::Wrap(std::make_shared<Table>(MakeItems(200, 109)));
+  ASSERT_TRUE(v1.ok()) << v1.status();
+  Partitioning p = MustPartition(**v1, 32);
+  TableDelta delta;
+  delta.Delete(5);
+  delta.Delete(17);
+  auto v2 = (*v1)->Apply(delta);
+  ASSERT_TRUE(v2.ok()) << v2.status();
+  ASSERT_EQ((*v2)->num_rows(), (*v1)->num_rows());
+  auto absorbed = partition::AbsorbBatch(**v2, p, delta.deletes);
+  ASSERT_TRUE(absorbed.ok()) << absorbed.status();
+  const Partitioning& after = absorbed->partitioning;
+  EXPECT_TRUE(p.CoversLiveRows(**v1));
+  EXPECT_FALSE(after.CoversLiveRows(**v1));
+  EXPECT_TRUE(after.CoversLiveRows(**v2));
+
+  CompiledQuery cq = MustCompile(kItemsQuery, (*v1)->schema());
+  auto stale = SketchRefineEvaluator(**v1, after).Evaluate(cq);
+  ASSERT_FALSE(stale.ok());
+  EXPECT_EQ(stale.status().code(), StatusCode::kInvalidArgument)
+      << stale.status();
+  EXPECT_FALSE(core::ParallelSketchRefineEvaluator(**v1, after)
+                   .Evaluate(cq)
+                   .ok());
+  EXPECT_FALSE(core::ExplainSketchRefine(cq, **v1, after).ok());
+
+  // The snapshot the partitioning was absorbed for evaluates normally.
+  auto current = SketchRefineEvaluator(**v2, after).Evaluate(cq);
+  ASSERT_TRUE(current.ok()) << current.status();
+  EXPECT_TRUE(ValidatePackage(cq, **v2, current->package).ok());
+}
+
+TEST(SnapshotPartitioningTest, ReaderOnOlderSnapshotRebuildsThePartitioning) {
+  // The engine-level race: a session opened before a delete-only batch
+  // keeps reading its snapshot while the registry absorbs the batch into
+  // the shared partition registry under the same key. The reader must not
+  // reuse that partitioning; it rebuilds one for its snapshot and answers
+  // exactly as before the batch.
+  service::Catalog catalog;
+  ASSERT_TRUE(catalog.AddTable("items", MakeItems(200, 108)).ok());
+  EngineOptions options;
+  options.planner.force = engine::Strategy::kSketchRefine;
+  auto reader = catalog.OpenSession(options);
+  ASSERT_TRUE(reader.ok()) << reader.status();
+  auto before = reader->Execute(kItemsQuery);
+  ASSERT_TRUE(before.ok()) << before.status();
+  ASSERT_FALSE(before->package.rows.empty());
+
+  service::StandingQueryRegistry registry(&catalog);
+  TableDelta delta;
+  for (RowId r : before->package.rows) delta.Delete(r);
+  auto update = registry.ApplyUpdates("items", delta);
+  ASSERT_TRUE(update.ok()) << update.status();
+  ASSERT_GT(update->partitionings_updated, 0u);
+
+  auto again = reader->Execute(kItemsQuery);
+  ASSERT_TRUE(again.ok()) << again.status();
+  EXPECT_FALSE(again->plan.partitioning_reused);
+  EXPECT_EQ(again->package.rows, before->package.rows);
+  EXPECT_EQ(again->objective, before->objective);
+  // The rebuild for the older snapshot stays private: the registry still
+  // holds only partitionings that absorbed the batch.
+  for (const auto& [key, cached] :
+       catalog.query_cache()->PartitioningsFor("items")) {
+    for (RowId r : before->package.rows) {
+      EXPECT_EQ(cached->gid[r], partition::kNoGroup) << key << " row " << r;
+    }
+  }
+
+  // A session on the new snapshot reuses the absorbed partitioning and
+  // never answers with a deleted row.
+  auto fresh = catalog.OpenSession(options);
+  ASSERT_TRUE(fresh.ok()) << fresh.status();
+  auto current = fresh->Execute(kItemsQuery);
+  ASSERT_TRUE(current.ok()) << current.status();
+  EXPECT_TRUE(current->plan.partitioning_reused);
+  for (RowId r : current->package.rows) {
+    EXPECT_EQ(std::count(before->package.rows.begin(),
+                         before->package.rows.end(), r),
+              0)
+        << "deleted row " << r << " answered";
+  }
 }
 
 // ---------------------------------------------------------------------------
