@@ -20,6 +20,8 @@ Result<EvalResult> DirectEvaluator::Evaluate(
 
 Result<EvalResult> DirectEvaluator::Evaluate(
     const translate::CompiledQuery& query) const {
+  Stopwatch total;
+  EvalResult result;
   if (options_.Cancelled()) {
     return Status::ResourceExhausted("evaluation cancelled");
   }
@@ -30,46 +32,18 @@ Result<EvalResult> DirectEvaluator::Evaluate(
   translate::ScanCounters scan;
   std::vector<relation::RowId> candidates = query.ComputeBaseRowsVectorized(
       *table_, options_.EffectiveThreads(), &scan);
-  auto result = SolveCandidates(query, candidates,
-                                translate_watch.ElapsedSeconds());
-  if (result.ok()) {
-    result->stats.blocks_scanned = scan.blocks_scanned.load();
-    result->stats.blocks_pruned = scan.blocks_pruned.load();
-  }
-  return result;
-}
-
-Result<EvalResult> DirectEvaluator::EvaluateOnRows(
-    const translate::CompiledQuery& query,
-    const std::vector<relation::RowId>& rows) const {
-  if (options_.Cancelled()) {
-    return Status::ResourceExhausted("evaluation cancelled");
-  }
-  Stopwatch translate_watch;
-  std::vector<relation::RowId> candidates =
-      query.FilterBaseRows(*table_, rows, options_.EffectiveThreads());
-  return SolveCandidates(query, candidates,
-                         translate_watch.ElapsedSeconds());
-}
-
-Result<EvalResult> DirectEvaluator::SolveCandidates(
-    const translate::CompiledQuery& query,
-    const std::vector<relation::RowId>& candidates,
-    double filter_seconds) const {
-  Stopwatch total;
-  EvalResult result;
+  result.stats.blocks_scanned = scan.blocks_scanned.load();
+  result.stats.blocks_pruned = scan.blocks_pruned.load();
   if (options_.Cancelled()) {
     return Status::ResourceExhausted("evaluation cancelled");
   }
 
   // Step 1 (paper): ILP formulation.
-  Stopwatch translate_watch;
   translate::CompiledQuery::BuildOptions build;
   build.threads = options_.EffectiveThreads();
   PAQL_ASSIGN_OR_RETURN(lp::Model model,
                         query.BuildModel(*table_, candidates, build));
-  result.stats.translate_seconds =
-      filter_seconds + translate_watch.ElapsedSeconds();
+  result.stats.translate_seconds = translate_watch.ElapsedSeconds();
 
   // Step 3 (paper): ILP execution by the black-box solver. The optional
   // warm carrier seeds the root LP from the previous identical
@@ -95,7 +69,7 @@ Result<EvalResult> DirectEvaluator::SolveCandidates(
   }
   result.objective = query.ObjectiveValue(*table_, result.package.rows,
                                           result.package.multiplicity);
-  result.stats.wall_seconds = total.ElapsedSeconds() + filter_seconds;
+  result.stats.wall_seconds = total.ElapsedSeconds();
   return result;
 }
 

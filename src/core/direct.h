@@ -31,23 +31,9 @@ class DirectEvaluator {
   /// Evaluate a precompiled query (reuse across dataset fractions).
   Result<EvalResult> Evaluate(const translate::CompiledQuery& query) const;
 
-  /// Evaluate over an explicit candidate row subset (used by benches that
-  /// sweep dataset fractions). Rows are ids into the evaluator's table; the
-  /// base predicate is applied on top of the subset.
-  Result<EvalResult> EvaluateOnRows(
-      const translate::CompiledQuery& query,
-      const std::vector<relation::RowId>& rows) const;
-
   const relation::ColumnSource& table() const { return *table_; }
 
  private:
-  /// Steps 1+3 over an already-filtered candidate set. `filter_seconds`
-  /// (the base-relation scan) is folded into the reported timings.
-  Result<EvalResult> SolveCandidates(
-      const translate::CompiledQuery& query,
-      const std::vector<relation::RowId>& candidates,
-      double filter_seconds) const;
-
   const relation::ColumnSource* table_;
   DirectOptions options_;
 };

@@ -1,7 +1,6 @@
 #include "engine/engine.h"
 
 #include <algorithm>
-#include <cctype>
 #include <sstream>
 #include <utility>
 
@@ -57,36 +56,18 @@ namespace {
 
 /// The partition-registry cache key for one (table, policy): shared by the
 /// read path (PartitioningFor) and the update path (ApplyUpdates,
-/// standing-query repair), which must agree on it byte for byte.
+/// standing-query repair), which must agree on it byte for byte. `tau` is
+/// the *configured* PlannerOptions::partition_size_threshold (0 = the
+/// default rows/10 rule), not the value that rule resolves to: the
+/// resolved tau moves with every batch that changes the row count, and a
+/// key that moved with it would strand the absorbed partitioning under the
+/// old key and rebuild a fresh one on the next read.
 std::string PartitionRegistryKey(const std::string& table_name, size_t tau,
                                  const std::vector<std::string>& attributes) {
   std::ostringstream os;
   os << table_name << "|" << tau;
   for (const auto& attr : attributes) os << "|" << attr;
   return os.str();
-}
-
-/// True when `key` is PartitionRegistryKey(table_name, t, attributes) for
-/// *some* size threshold t. Standing-query repair matches absorbed
-/// partitionings this way: the default tau policy (rows/10) drifts with
-/// every batch that changes the row count, so the key recomputed against
-/// the new version would never hit the one the partitioning was cached
-/// under — and tau only decides how a fresh partitioning would be built,
-/// not whether the absorbed one can host the repair.
-bool KeyMatchesPolicy(const std::string& key, const std::string& table_name,
-                      const std::vector<std::string>& attributes) {
-  std::string prefix = table_name + "|";
-  std::string suffix;
-  for (const auto& attr : attributes) suffix += "|" + attr;
-  if (key.size() <= prefix.size() + suffix.size()) return false;
-  if (key.compare(0, prefix.size(), prefix) != 0) return false;
-  if (key.compare(key.size() - suffix.size(), suffix.size(), suffix) != 0) {
-    return false;
-  }
-  for (size_t i = prefix.size(); i < key.size() - suffix.size(); ++i) {
-    if (!std::isdigit(static_cast<unsigned char>(key[i]))) return false;
-  }
-  return true;
 }
 
 std::string CsvBaseName(const std::string& path) {
@@ -299,7 +280,9 @@ Session::PartitioningFor(const ResolvedQuery& resolved, Plan* plan) {
   std::string key;
   bool publish = !resolved.joined_from;
   if (publish) {
-    key = PartitionRegistryKey(resolved.table_name, tau, attributes);
+    key = PartitionRegistryKey(resolved.table_name,
+                               options_.planner.partition_size_threshold,
+                               attributes);
     if (auto hit = cache_->LookupPartitioning(key)) {
       // A cached partitioning is only reusable when it groups every live
       // row of the snapshot this query resolved: a session holding an
@@ -307,7 +290,9 @@ Session::PartitioningFor(const ResolvedQuery& resolved, Plan* plan) {
       // already advanced (past its row space, or past a delete-only batch
       // whose rows are still live here), and vice versa.
       if (hit->CoversLiveRows(*resolved.table)) {
+        // An absorbed partitioning keeps the tau it was built under.
         plan->partitioning_reused = true;
+        plan->partition_size_threshold = hit->size_threshold;
         plan->partition_groups = hit->num_groups();
         return hit;
       }
@@ -784,20 +769,15 @@ void Session::RepairStandingQuery(
       if (!plan.uses_partitioning()) return false;
       std::vector<std::string> attributes =
           planner.PartitionAttributes(*resolved.table);
-      const std::vector<uint32_t>* dirty_groups = nullptr;
-      std::shared_ptr<const partition::Partitioning> partitioning;
-      for (const auto& [key, groups] : dirty) {
-        if (!KeyMatchesPolicy(key, resolved.table_name, attributes)) continue;
-        auto hit = cache_->LookupPartitioning(key);
-        if (hit == nullptr ||
-            hit->gid.size() != resolved.table->num_rows()) {
-          continue;
-        }
-        dirty_groups = &groups;
-        partitioning = std::move(hit);
-        break;
+      auto dirty_groups = dirty.find(PartitionRegistryKey(
+          resolved.table_name, options_.planner.partition_size_threshold,
+          attributes));
+      if (dirty_groups == dirty.end()) return false;
+      auto partitioning = cache_->LookupPartitioning(dirty_groups->first);
+      if (partitioning == nullptr ||
+          partitioning->gid.size() != resolved.table->num_rows()) {
+        return false;
       }
-      if (partitioning == nullptr) return false;
       core::IncrementalOptions iopts;
       static_cast<ExecContext&>(iopts.sketch_refine) = options_.exec;
       iopts.sketch_refine.warm_basis = nullptr;
@@ -805,7 +785,7 @@ void Session::RepairStandingQuery(
           core::IncrementalResult inc,
           core::ReEvaluatePackage(*resolved.table, *partitioning,
                                   compiled.ilp, sq->package,
-                                  *dirty_groups, iopts));
+                                  dirty_groups->second, iopts));
       sq->package = std::move(inc.result.package);
       sq->objective = inc.result.objective;
       sq->valid = true;

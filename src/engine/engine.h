@@ -246,7 +246,8 @@ class Session {
   std::vector<std::string> table_names() const;
 
   /// The cross-query artifact cache this session reads and feeds:
-  /// partitionings (keyed by table/policy) and per-statement artifacts —
+  /// partitionings (keyed by table, tau policy and attributes — one per
+  /// policy, absorbed in place by ApplyUpdates) and per-statement artifacts —
   /// plan, partition tree, warm-start root basis — keyed by normalized
   /// query text. Engine::Open gives every session a private cache; the
   /// service catalog replaces it with one process-wide instance so

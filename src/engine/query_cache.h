@@ -3,12 +3,15 @@
 //
 // Two keyed stores behind one thread-safe LRU facade:
 //
-//  * Partitionings, keyed "table|tau|attributes". Building the offline
-//    partitioning dominates SKETCHREFINE's cost; every session that shares
-//    this cache (the service catalog hands one to all of its sessions)
-//    shares one partition tree per (table, policy) instead of each session
-//    rebuilding its own — the per-session `partition_cache_` of earlier
-//    releases made process-wide.
+//  * Partitionings, keyed "table|tau policy|attributes", where the tau
+//    policy is the configured PlannerOptions::partition_size_threshold
+//    (0 = the default rows/10 rule) rather than the tau it resolves to, so
+//    a batch that changes the row count does not move the key. Building
+//    the offline partitioning dominates SKETCHREFINE's cost; every session
+//    that shares this cache (the service catalog hands one to all of its
+//    sessions) shares one partition tree per (table, policy, attributes)
+//    instead of each session rebuilding its own, and the update path
+//    absorbs each batch into that one tree.
 //
 //  * Per-statement artifacts, keyed by the catalog table's identity plus
 //    the *normalized* query text (paql/normalize.h): the planner's

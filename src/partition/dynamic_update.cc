@@ -174,7 +174,9 @@ Result<AbsorbResult> AbsorbBatch(const ColumnSource& table,
   std::vector<bool> dirty(groups.size(), false);
   for (size_t g : touched) dirty[g] = true;
   std::vector<std::vector<RowId>> final_groups;
-  std::vector<bool> final_dirty;
+  // Old group each final group carries unchanged; kNoGroup marks a dirty
+  // group or split fragment.
+  std::vector<uint32_t> inherited;
   // Fragments beyond a split group's first keep arriving after all original
   // slots, so untouched groups keep their relative order (their ids only
   // shift down past dropped slots, with membership unchanged).
@@ -206,7 +208,7 @@ Result<AbsorbResult> AbsorbBatch(const ColumnSource& table,
     }
     if (!oversized && !over_radius) {
       final_groups.push_back(std::move(groups[g]));
-      final_dirty.push_back(dirty[g]);
+      inherited.push_back(dirty[g] ? kNoGroup : static_cast<uint32_t>(g));
       continue;
     }
     // Re-partition the group's rows in isolation and map back.
@@ -227,7 +229,7 @@ Result<AbsorbResult> AbsorbBatch(const ColumnSource& table,
       for (RowId sr : nested.groups[sg]) mapped.push_back(groups[g][sr]);
       if (sg == 0) {
         final_groups.push_back(std::move(mapped));  // keeps slot g
-        final_dirty.push_back(true);
+        inherited.push_back(kNoGroup);
       } else {
         overflow_groups.push_back(std::move(mapped));
       }
@@ -235,19 +237,23 @@ Result<AbsorbResult> AbsorbBatch(const ColumnSource& table,
   }
   for (auto& fragment : overflow_groups) {
     final_groups.push_back(std::move(fragment));
-    final_dirty.push_back(true);
+    inherited.push_back(kNoGroup);
   }
   if (final_groups.empty()) {
     return Status::InvalidArgument(
         "the batch deleted every row; re-partition once data arrives");
   }
 
+  // Only dirty groups and split fragments get their radius and
+  // representative recomputed; untouched groups carry theirs over.
   PAQL_ASSIGN_OR_RETURN(
       out.partitioning,
-      MakePartitioningFromGroups(table, old.attributes, old.size_threshold,
-                                 old.radius_limit, std::move(final_groups)));
-  for (size_t g = 0; g < final_dirty.size(); ++g) {
-    if (final_dirty[g]) out.dirty_groups.push_back(static_cast<uint32_t>(g));
+      RebuildPartitioningFromGroups(table, old, std::move(final_groups),
+                                    inherited));
+  for (size_t g = 0; g < inherited.size(); ++g) {
+    if (inherited[g] == kNoGroup) {
+      out.dirty_groups.push_back(static_cast<uint32_t>(g));
+    }
   }
   return out;
 }

@@ -15,8 +15,12 @@
 //      metric as the radius definition);
 //   3. groups pushed over the size threshold tau or the radius limit omega
 //      are split in place with the quad-tree partitioner;
-//   4. the artifact (centroids, radii, gid map, representative relation) is
-//      rebuilt for the touched groups.
+//   4. the artifact (gid map, radii, representative relation) is
+//      reassembled: dirty groups and split fragments get their radius and
+//      representative recomputed, every untouched group carries its own
+//      over from the old artifact (gid cell rewritten when its id shifts),
+//      so the result is bit-identical to MakePartitioningFromGroups on the
+//      final groups (partition::RebuildPartitioningFromGroups).
 //
 // The result reports which groups changed ("dirty" groups), which is what
 // incremental re-evaluation (core/incremental.h) needs: a package computed

@@ -131,14 +131,21 @@ class QuadTreeBuilder {
       quadrants[mask].push_back(r);
     }
     if (quadrants.size() <= 1) {
-      // Degenerate: all rows coincide on the partitioning attributes (the
-      // radius is then 0). Split by size alone into tau-sized chunks —
-      // identical tuples are interchangeable, so any chunking is valid.
+      // Degenerate: all rows coincide on the split attributes. Split by
+      // size alone into tau-sized chunks — identical tuples are
+      // interchangeable, so any chunking is valid.
       size_t chunk = std::max<size_t>(1, options_.size_threshold);
       for (size_t start = 0; start < rows.size(); start += chunk) {
         size_t end = std::min(rows.size(), start + chunk);
         std::vector<RowId> part(rows.begin() + start, rows.begin() + end);
-        Finalize(std::move(part), 0.0, out);
+        // Computed like every other group's radius (it is zero only up to
+        // the mean's rounding), so the artifact matches
+        // MakePartitioningFromGroups on the same groups.
+        double part_radius = GroupRadius(
+            table_, part, part_cols_,
+            GroupCentroid(table_, part, part_cols_, options_.threads),
+            options_.threads);
+        Finalize(std::move(part), part_radius, out);
       }
       return Status::OK();
     }
@@ -213,10 +220,15 @@ class QuadTreeBuilder {
 /// Build the representative relation: centroid over every numeric column of
 /// each group (strings become NULL) plus a trailing gid column. The
 /// (group, column) means are independent, so they fill a per-group value
-/// grid in parallel; rows are appended serially in group order.
-Result<Table> BuildRepresentatives(const ColumnSource& table,
-                                   const Partitioning& partitioning,
-                                   int threads = 1) {
+/// grid in parallel; rows are appended serially in group order. A group
+/// with `inherited[g] != kNoGroup` has the membership of group
+/// inherited[g] of `previous`, so every mean would come out the same: it
+/// copies that representative row instead, with only its gid cell
+/// rewritten.
+Result<Table> BuildRepresentatives(
+    const ColumnSource& table, const Partitioning& partitioning,
+    int threads = 1, const Partitioning* previous = nullptr,
+    const std::vector<uint32_t>* inherited = nullptr) {
   std::vector<ColumnDef> defs = table.schema().columns();
   // The trailing group-id column is conventionally "gid"; when the source
   // already has one (e.g. partitioning a representative relation during
@@ -231,8 +243,16 @@ Result<Table> BuildRepresentatives(const ColumnSource& table,
   const size_t num_groups = partitioning.groups.size();
   reps.Reserve(num_groups);
   std::vector<std::vector<Value>> grid(num_groups);
+  std::vector<size_t> fresh;  // groups whose means are computed here
   for (size_t g = 0; g < num_groups; ++g) {
     grid[g].resize(table.num_columns() + 1);
+    if (previous != nullptr && (*inherited)[g] != kNoGroup) {
+      for (size_t c = 0; c < table.num_columns(); ++c) {
+        grid[g][c] = previous->representatives.GetValue((*inherited)[g], c);
+      }
+    } else {
+      fresh.push_back(g);
+    }
     grid[g][table.num_columns()] = Value(static_cast<int64_t>(g));
   }
   // Column-major over the grid: every group's mean for one column before
@@ -244,12 +264,13 @@ Result<Table> BuildRepresentatives(const ColumnSource& table,
   // blocks of every column).
   for (size_t c = 0; c < table.num_columns(); ++c) {
     if (table.schema().column(c).type == DataType::kString) {
-      for (size_t g = 0; g < num_groups; ++g) grid[g][c] = Value::Null();
+      for (size_t g : fresh) grid[g][c] = Value::Null();
       continue;
     }
-    ParallelIndexFor(num_groups, threads, [&](size_t g) {
+    ParallelIndexFor(fresh.size(), threads, [&](size_t i) {
       // Averaging ignores NULLs? For simplicity, NULLs read as 0 here; the
       // benchmark workloads pre-filter NULL rows per the paper's setup.
+      const size_t g = fresh[i];
       grid[g][c] = Value(ColumnMean(table, partitioning.groups[g], c));
     });
   }
@@ -342,10 +363,16 @@ Result<Partitioning> PartitionTable(const ColumnSource& table,
   return out;
 }
 
-Result<Partitioning> MakePartitioningFromGroups(
+namespace {
+
+/// MakePartitioningFromGroups and RebuildPartitioningFromGroups: the
+/// latter passes the artifact the groups derive from and, per group, the
+/// group of it whose statistics carry over (kNoGroup = compute them).
+Result<Partitioning> AssemblePartitioning(
     const ColumnSource& table, const std::vector<std::string>& attributes,
     size_t size_threshold, double radius_limit,
-    std::vector<std::vector<RowId>> groups, int threads) {
+    std::vector<std::vector<RowId>> groups, int threads,
+    const Partitioning* previous, const std::vector<uint32_t>* inherited) {
   Status status;
   std::vector<size_t> cols = ResolveNumericColumns(table, attributes, &status);
   PAQL_RETURN_IF_ERROR(status);
@@ -374,6 +401,10 @@ Result<Partitioning> MakePartitioningFromGroups(
   // Per-group radii, one group per worker (each group's float accumulation
   // stays serial, so the artifact is identical for any worker count).
   ParallelIndexFor(out.groups.size(), threads, [&](size_t g) {
+    if (previous != nullptr && (*inherited)[g] != kNoGroup) {
+      out.radius[g] = previous->radius[(*inherited)[g]];
+      return;
+    }
     std::vector<double> centroid =
         GroupCentroid(table, out.groups[g], cols, 1);
     out.radius[g] = GroupRadius(table, out.groups[g], cols, centroid);
@@ -384,9 +415,51 @@ Result<Partitioning> MakePartitioningFromGroups(
           StrCat("live row ", r, " not covered by any group"));
     }
   }
-  PAQL_ASSIGN_OR_RETURN(out.representatives,
-                        BuildRepresentatives(table, out, threads));
+  PAQL_ASSIGN_OR_RETURN(
+      out.representatives,
+      BuildRepresentatives(table, out, threads, previous, inherited));
   return out;
+}
+
+}  // namespace
+
+Result<Partitioning> MakePartitioningFromGroups(
+    const ColumnSource& table, const std::vector<std::string>& attributes,
+    size_t size_threshold, double radius_limit,
+    std::vector<std::vector<RowId>> groups, int threads) {
+  return AssemblePartitioning(table, attributes, size_threshold, radius_limit,
+                              std::move(groups), threads, nullptr, nullptr);
+}
+
+Result<Partitioning> RebuildPartitioningFromGroups(
+    const ColumnSource& table, const Partitioning& previous,
+    std::vector<std::vector<RowId>> groups,
+    const std::vector<uint32_t>& inherited) {
+  if (inherited.size() != groups.size()) {
+    return Status::InvalidArgument(
+        StrCat(inherited.size(), " inherited ids for ", groups.size(),
+               " groups"));
+  }
+  if (previous.radius.size() != previous.num_groups() ||
+      previous.representatives.num_rows() != previous.num_groups() ||
+      previous.representatives.num_columns() != table.num_columns() + 1) {
+    return Status::InvalidArgument(
+        "previous partitioning's statistics do not match its groups and "
+        "this table's schema");
+  }
+  for (size_t g = 0; g < groups.size(); ++g) {
+    const uint32_t from = inherited[g];
+    if (from == kNoGroup) continue;
+    if (from >= previous.num_groups() || groups[g] != previous.groups[from]) {
+      return Status::InvalidArgument(
+          StrCat("group ", g, " does not have the rows of previous group ",
+                 from));
+    }
+  }
+  return AssemblePartitioning(table, previous.attributes,
+                              previous.size_threshold, previous.radius_limit,
+                              std::move(groups), /*threads=*/1, &previous,
+                              &inherited);
 }
 
 Result<Partitioning> ShrinkToSubset(const ColumnSource& table,

@@ -110,6 +110,20 @@ Result<Partitioning> MakePartitioningFromGroups(
     size_t size_threshold, double radius_limit,
     std::vector<std::vector<relation::RowId>> groups, int threads = 1);
 
+/// MakePartitioningFromGroups for groups derived from `previous` (same
+/// attributes, tau and omega) over a table whose first
+/// previous.gid.size() rows are the rows `previous` was built on. Group g
+/// with `inherited[g] != kNoGroup` must hold exactly the rows, in order, of
+/// group inherited[g] of `previous`; it copies that group's radius and
+/// representative row (gid cell rewritten to g) instead of recomputing
+/// them. The result is bit-identical to MakePartitioningFromGroups on the
+/// same groups whenever `previous` is itself such an artifact (built by
+/// PartitionTable, MakePartitioningFromGroups or AbsorbBatch).
+Result<Partitioning> RebuildPartitioningFromGroups(
+    const relation::ColumnSource& table, const Partitioning& previous,
+    std::vector<std::vector<relation::RowId>> groups,
+    const std::vector<uint32_t>& inherited);
+
 /// Restrict a partitioning to a row subset of the same table (used by the
 /// scalability experiments, which shrink datasets to 10%..100%). Group
 /// boundaries are preserved; centroids, radii, and sizes are recomputed on

@@ -129,16 +129,6 @@ std::vector<RowId> CompiledQuery::ComputeBaseRowsVectorized(
   return rows;
 }
 
-std::vector<RowId> CompiledQuery::FilterBaseRows(
-    const ColumnSource& table, const std::vector<RowId>& rows,
-    int threads) const {
-  std::vector<RowId> out =
-      base_pred_ ? FilterRowsVectorized(table, rows, base_pred_batch_, threads)
-                 : rows;
-  EraseDeletedRows(table, &out);
-  return out;
-}
-
 Result<LinearExpr> CompiledQuery::CompileGlobalExpr(
     const GlobalExpr& expr, const Schema& schema) const {
   switch (expr.kind) {

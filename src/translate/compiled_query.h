@@ -113,12 +113,6 @@ class CompiledQuery {
     return base_zone_ranges_;
   }
 
-  /// The live subset of `rows` satisfying the WHERE clause (all live rows
-  /// when the query has none), through the batch pipeline.
-  std::vector<relation::RowId> FilterBaseRows(
-      const relation::ColumnSource& table, const std::vector<relation::RowId>& rows,
-      int threads = 1) const;
-
   /// Per-row base-predicate test (true when the query has no WHERE).
   /// Deleted rows of a versioned table never qualify: the base relation
   /// R_beta is defined over the live rows of the snapshot.

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <set>
 
 #include "common/rng.h"
@@ -358,6 +359,133 @@ TEST(AbsorbBatchTest, AbsorbedArtifactAbsorbsAgain) {
   CheckInvariantsWithDeletes(dt2, r2->partitioning);
 }
 
+/// Bitwise double equality (a recomputed mean or radius must not differ
+/// from the carried-over one even in the last ulp).
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+/// The artifact AbsorbBatch assembled (carrying untouched groups'
+/// statistics over) equals a from-scratch MakePartitioningFromGroups on
+/// the same final groups, field by field and bit for bit.
+void ExpectMatchesFreshAssembly(const relation::ColumnSource& t,
+                                const Partitioning& absorbed) {
+  auto fresh = MakePartitioningFromGroups(t, absorbed.attributes,
+                                          absorbed.size_threshold,
+                                          absorbed.radius_limit,
+                                          absorbed.groups);
+  ASSERT_TRUE(fresh.ok()) << fresh.status();
+  EXPECT_EQ(absorbed.gid, fresh->gid);
+  EXPECT_EQ(absorbed.groups, fresh->groups);
+  ASSERT_EQ(absorbed.radius.size(), fresh->radius.size());
+  for (size_t g = 0; g < fresh->radius.size(); ++g) {
+    EXPECT_TRUE(SameBits(absorbed.radius[g], fresh->radius[g]))
+        << "radius of group " << g << ": " << absorbed.radius[g] << " vs "
+        << fresh->radius[g];
+  }
+  const Table& a = absorbed.representatives;
+  const Table& f = fresh->representatives;
+  ASSERT_EQ(a.schema().columns().size(), f.schema().columns().size());
+  ASSERT_EQ(a.num_rows(), f.num_rows());
+  for (size_t c = 0; c < f.num_columns(); ++c) {
+    EXPECT_EQ(a.schema().column(c).name, f.schema().column(c).name);
+    ASSERT_EQ(a.schema().column(c).type, f.schema().column(c).type);
+    for (RowId g = 0; g < f.num_rows(); ++g) {
+      ASSERT_EQ(a.IsNull(g, c), f.IsNull(g, c)) << "group " << g;
+      if (f.IsNull(g, c)) continue;
+      switch (f.schema().column(c).type) {
+        case DataType::kDouble:
+          EXPECT_TRUE(SameBits(a.GetDouble(g, c), f.GetDouble(g, c)))
+              << "group " << g << " column " << c;
+          break;
+        case DataType::kInt64:
+          EXPECT_EQ(a.GetInt64(g, c), f.GetInt64(g, c))
+              << "group " << g << " column " << c;
+          break;
+        case DataType::kString:
+          EXPECT_EQ(a.GetString(g, c), f.GetString(g, c))
+              << "group " << g << " column " << c;
+          break;
+      }
+    }
+  }
+}
+
+TEST(AbsorbBatchTest, CarriedOverStatisticsMatchAFreshAssembly) {
+  // A seeded stream whose batches force every structural event: clustered
+  // appends overfill a group (split), whole-group deletes empty one
+  // (drop), and deleting all but two rows of a group leaves it below tau/4
+  // (dissolve). Each round's artifact must equal the from-scratch
+  // assembly of its groups.
+  Rng rng(4242);
+  Table t = MakePoints(240, 31);
+  Partitioning p = MustPartition(t, 20);
+  std::vector<RowId> all_deleted;
+  std::set<RowId> deleted_set;
+  size_t splits = 0, merges = 0, drops = 0, carried = 0;
+  for (int round = 0; round < 12; ++round) {
+    std::vector<RowId> batch_deletes;
+    auto delete_row = [&](RowId r) {
+      if (deleted_set.insert(r).second) batch_deletes.push_back(r);
+    };
+    if (round % 2 == 0) {
+      double lo = rng.Uniform(0.0, 95.0);
+      AppendPoints(&t, 25, 500 + static_cast<uint64_t>(round), lo, lo + 5.0);
+    } else {
+      size_t wiped = static_cast<size_t>(
+          rng.UniformInt(0, static_cast<int64_t>(p.num_groups()) - 1));
+      size_t thinned = (wiped + 1 + static_cast<size_t>(rng.UniformInt(
+                                        0, static_cast<int64_t>(
+                                               p.num_groups()) - 2))) %
+                       p.num_groups();
+      for (RowId r : p.groups[wiped]) delete_row(r);
+      for (size_t k = 2; k < p.groups[thinned].size(); ++k) {
+        delete_row(p.groups[thinned][k]);
+      }
+      for (int i = 0; i < 5; ++i) {
+        delete_row(static_cast<RowId>(rng.UniformInt(
+            0, static_cast<int64_t>(p.gid.size()) - 1)));
+      }
+      AppendPoints(&t, 3, 700 + static_cast<uint64_t>(round), 0.0, 100.0);
+    }
+    all_deleted.insert(all_deleted.end(), batch_deletes.begin(),
+                       batch_deletes.end());
+    DeletableTable dt(t, all_deleted);
+    auto r = AbsorbBatch(dt, p, batch_deletes);
+    ASSERT_TRUE(r.ok()) << "round " << round << ": " << r.status();
+    CheckInvariantsWithDeletes(dt, r->partitioning);
+    ExpectMatchesFreshAssembly(dt, r->partitioning);
+    splits += r->groups_split;
+    merges += r->groups_merged;
+    drops += r->groups_dropped;
+    carried += r->partitioning.num_groups() - r->dirty_groups.size();
+    p = std::move(r->partitioning);
+  }
+  // The stream must actually have exercised every event it claims to.
+  EXPECT_GT(splits, 0u);
+  EXPECT_GT(merges, 0u);
+  EXPECT_GT(drops, 0u);
+  EXPECT_GT(carried, 0u);
+}
+
+TEST(AbsorbBatchTest, RebuildRejectsAGroupWhoseRowsChanged) {
+  Table t = MakePoints(60, 32);
+  Partitioning p = MustPartition(t, 20);
+  ASSERT_GE(p.num_groups(), 2u);
+  std::vector<std::vector<RowId>> groups = p.groups;
+  std::vector<uint32_t> inherited(groups.size());
+  for (size_t g = 0; g < groups.size(); ++g) {
+    inherited[g] = static_cast<uint32_t>(g);
+  }
+  ASSERT_TRUE(RebuildPartitioningFromGroups(t, p, groups, inherited).ok());
+  std::swap(inherited[0], inherited[1]);
+  auto swapped = RebuildPartitioningFromGroups(t, p, groups, inherited);
+  ASSERT_FALSE(swapped.ok());
+  EXPECT_EQ(swapped.status().code(), StatusCode::kInvalidArgument);
+  inherited.pop_back();
+  EXPECT_FALSE(RebuildPartitioningFromGroups(t, p, groups, inherited).ok());
+}
+
 class AbsorbBatchSeedTest : public ::testing::TestWithParam<unsigned> {};
 
 TEST_P(AbsorbBatchSeedTest, InvariantsHoldUnderRandomMixedBatches) {
@@ -388,6 +516,7 @@ TEST_P(AbsorbBatchSeedTest, InvariantsHoldUnderRandomMixedBatches) {
     ASSERT_TRUE(r.ok()) << "seed " << seed << " round " << round << ": "
                         << r.status();
     CheckInvariantsWithDeletes(dt, r->partitioning);
+    ExpectMatchesFreshAssembly(dt, r->partitioning);
     EXPECT_EQ(r->rows_removed, batch_deletes.size());
     p = std::move(r->partitioning);
   }

@@ -46,9 +46,11 @@ std::vector<double> RandomLanes(uint32_t n, uint64_t seed) {
   return v;
 }
 
-/// Bitwise equality: NaN payloads and signed zeros must match too.
+/// Bitwise equality: NaN payloads and signed zeros must match too. An
+/// empty vector's data() may be null, which memcmp must not be given.
 void ExpectBitEqual(const std::vector<double>& a, const std::vector<double>& b) {
   ASSERT_EQ(a.size(), b.size());
+  if (a.empty()) return;
   ASSERT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(double)), 0);
 }
 

@@ -323,9 +323,9 @@ TEST(SessionUpdateTest, StandingQueryRepairsAcrossBatches) {
 
 TEST(SessionUpdateTest, RepairStaysIncrementalWhenTauDriftsWithRowCount) {
   // 1000 rows puts the default tau (rows/10) above its 64-row floor, so a
-  // batch that changes the row count shifts the partition registry key.
-  // Repair must still find the absorbed partitioning — the tau the key was
-  // cached under only describes how it was built.
+  // batch that changes the row count changes the tau that rule resolves
+  // to. Repair must still find the absorbed partitioning, which keeps the
+  // tau it was built under.
   EngineOptions options;
   options.planner.direct_row_threshold = 100;  // force SKETCHREFINE
   auto session = Engine::Open(MakeItems(1000, 107), "items", options);
@@ -352,6 +352,68 @@ TEST(SessionUpdateTest, RepairStaysIncrementalWhenTauDriftsWithRowCount) {
   // Incremental repair promises no-worse, not globally optimal: the
   // inserts only displace previous picks whose groups went dirty.
   EXPECT_GE(repaired->objective, initial->objective - 1e-9);
+}
+
+TEST(SessionUpdateTest, OnePartitioningPerPolicyAcrossBatches) {
+  // Under the default tau policy every insert batch moves the tau that
+  // rows/10 resolves to. The registry still holds one partitioning for the
+  // table's policy: each batch is absorbed into it, the next read reuses
+  // it, and the plan reports the tau it was built under.
+  EngineOptions options;
+  options.planner.direct_row_threshold = 100;  // force SKETCHREFINE
+  auto session = Engine::Open(MakeItems(1000, 110), "items", options);
+  ASSERT_TRUE(session.ok()) << session.status();
+  auto id = session->Watch(kItemsQuery);
+  ASSERT_TRUE(id.ok()) << id.status();
+  ASSERT_EQ(session->query_cache()->stats().partition_entries, 1u);
+
+  Rng rng(111);
+  std::set<RowId> deleted;
+  size_t rows = 1000;
+  const size_t kBatches = 12;
+  for (size_t batch = 0; batch < kBatches; ++batch) {
+    TableDelta delta;
+    if (batch % 2 == 0) {
+      for (int i = 0; i < 7; ++i) {
+        double cost = rng.Uniform(1.0, 10.0);
+        delta.Insert({Value(static_cast<int64_t>(rows + i)), Value(cost),
+                      Value(cost * rng.Uniform(0.5, 2.0))});
+      }
+      rows += 7;
+    } else {
+      // Delete live rows outside the standing answer, so every repair has
+      // a previous package to keep.
+      auto sq = session->GetStandingQuery(*id);
+      ASSERT_TRUE(sq.ok()) << sq.status();
+      std::set<RowId> picked(sq->package.rows.begin(), sq->package.rows.end());
+      while (delta.deletes.size() < 5) {
+        RowId r = static_cast<RowId>(
+            rng.UniformInt(0, static_cast<int64_t>(rows) - 1));
+        if (picked.count(r) == 0 && deleted.insert(r).second) delta.Delete(r);
+      }
+    }
+    auto update = session->ApplyUpdates("items", delta);
+    ASSERT_TRUE(update.ok()) << "batch " << batch << ": " << update.status();
+    EXPECT_EQ(update->partitionings_updated, 1u) << "batch " << batch;
+    EXPECT_EQ(update->standing_repaired, 1u) << "batch " << batch;
+    EXPECT_EQ(update->standing_incremental, 1u) << "batch " << batch;
+
+    auto result = session->Execute(kItemsQuery);
+    ASSERT_TRUE(result.ok()) << "batch " << batch << ": " << result.status();
+    EXPECT_TRUE(result->plan.partitioning_reused) << "batch " << batch;
+    // Built at 1000 rows; the rule now resolves to rows/10 > 100.
+    EXPECT_EQ(result->plan.partition_size_threshold, 100u)
+        << "batch " << batch;
+    EXPECT_NE(result->plan.Explain().find("partitioning: tau 100,"),
+              std::string::npos)
+        << result->plan.Explain();
+    EXPECT_EQ(session->query_cache()->stats().partition_entries, 1u)
+        << "batch " << batch;
+  }
+  auto sq = session->GetStandingQuery(*id);
+  ASSERT_TRUE(sq.ok()) << sq.status();
+  EXPECT_TRUE(sq->valid);
+  EXPECT_EQ(sq->incremental_repairs, kBatches);
 }
 
 // ---------------------------------------------------------------------------
