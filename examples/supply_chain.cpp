@@ -6,8 +6,8 @@
 // of offers — that joins the two relations, filters to reliable suppliers,
 // caps total cost, guarantees a minimum total quantity, and minimizes lead
 // time. The session materializes the join automatically (paper §4.5) and
-// rewrites the query onto the join result; forcing the parallel
-// SKETCHREFINE strategy on the same query shows the §4.5 parallel path
+// rewrites the query onto the join result; forcing the SKETCHREFINE
+// strategy on the same query partitions the join result and evaluates it
 // without touching any low-level evaluator.
 //
 // Build & run:  cmake --build build && ./build/examples/supply_chain
@@ -86,10 +86,9 @@ int main() {
   std::printf("DIRECT:            total lead time %6.1f days  (%.3fs)\n",
               exact->objective, exact->stats.wall_seconds);
 
-  // Parallel SKETCHREFINE over the join result, via the override escape
-  // hatch (the join result is below the auto threshold, so we force it).
-  session->options().planner.force = Strategy::kParallelSketchRefine;
-  session->options().planner.parallel_threads = 4;
+  // SKETCHREFINE over the join result, via the override escape hatch (the
+  // join result is below the auto threshold, so we force it).
+  session->options().planner.force = Strategy::kSketchRefine;
   session->options().planner.partition_attributes = {
       "O_unit_cost", "O_quantity", "O_lead_days"};
   auto approx = session->Execute(kQuery);
@@ -97,11 +96,8 @@ int main() {
     std::cerr << "SKETCHREFINE failed: " << approx.status() << "\n";
     return 1;
   }
-  std::printf(
-      "SKETCHREFINE (x%d): total lead time %6.1f days  (%.3fs)%s\n\n",
-      approx->stats.threads_used, approx->objective,
-      approx->stats.wall_seconds,
-      approx->stats.parallel_fallback ? "  [sequential fallback]" : "");
+  std::printf("SKETCHREFINE:      total lead time %6.1f days  (%.3fs)\n\n",
+              approx->objective, approx->stats.wall_seconds);
 
   // --- 4. Show the chosen cart. ---
   Table cart = approx->Materialize();

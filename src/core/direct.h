@@ -14,16 +14,14 @@
 
 namespace paql::core {
 
-/// DIRECT has no strategy-specific knobs: its options are exactly the
-/// shared execution context (`limits` budgets the single whole-problem
-/// solve; `cancel` is polled before handing the ILP to the solver).
-struct DirectOptions : engine::ExecContext {};
-
 /// Evaluates package queries by solving one ILP over the full base relation.
+/// DIRECT has no strategy-specific knobs, so it takes the shared execution
+/// context as is: `limits` budgets the single whole-problem solve, and
+/// `cancel` is polled before handing the ILP to the solver.
 class DirectEvaluator {
  public:
   explicit DirectEvaluator(const relation::ColumnSource& table,
-                           DirectOptions options = {});
+                           engine::ExecContext options = {});
 
   /// Parse-compile-and-evaluate convenience entry point.
   Result<EvalResult> Evaluate(const lang::PackageQuery& query) const;
@@ -35,7 +33,7 @@ class DirectEvaluator {
 
  private:
   const relation::ColumnSource* table_;
-  DirectOptions options_;
+  engine::ExecContext options_;
 };
 
 }  // namespace paql::core

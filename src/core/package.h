@@ -105,13 +105,6 @@ struct EvalStats {
   /// stored for the next identical statement).
   int64_t cache_misses = 0;
 
-  // Parallel-evaluation counters (core/parallel.h; zero elsewhere).
-  int threads_used = 0;
-  /// Speculative parallel refinement conflicted and the evaluator fell
-  /// back to the sequential algorithm (paper §4.5's predicted failure
-  /// mode for naive group-parallel refinement).
-  bool parallel_fallback = false;
-
   void Accumulate(const ilp::IlpStats& ilp);
 };
 

@@ -274,7 +274,7 @@ Result<RemedyReport> RobustSketchRefineEvaluator::TryGroupMerging(
   // One group left: "this process reduces the problem to the original
   // problem (i.e., with no partitioning)" — solve it directly, under the
   // same subproblem budgets SKETCHREFINE would use.
-  DirectOptions direct_opts;
+  engine::ExecContext direct_opts;
   direct_opts.limits = options_.sketch_refine.limits;
   direct_opts.branch_and_bound = options_.sketch_refine.branch_and_bound;
   DirectEvaluator direct(*table_, direct_opts);

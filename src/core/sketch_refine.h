@@ -40,8 +40,7 @@ namespace paql::core {
 /// inherited fields map onto SKETCHREFINE as follows: `limits` budgets
 /// every subproblem ILP (sketch, refine, hybrid); `seed` randomizes the
 /// initial refinement order of Algorithm 2; `cancel` is checked before
-/// every subproblem solve (the parallel ordering race of paper §4.5 uses
-/// it to stop losing orderings once a winner finishes).
+/// every subproblem solve.
 struct SketchRefineOptions : engine::ExecContext {
   /// Enable the hybrid sketch fallback (the paper's experiments use it as
   /// "the only strategy to cope with infeasible initial queries").

@@ -323,7 +323,7 @@ std::string Session::ArtifactKey(const ResolvedQuery& resolved) const {
   // the three sections can never collide by concatenation.
   os << resolved.table_name << '\x1F' << resolved.normalized_text << '\x1F'
      << engine::StrategyName(p.force) << '|' << p.direct_row_threshold << '|'
-     << p.parallel_threads << '|' << p.partition_size_threshold;
+     << p.partition_size_threshold;
   for (const auto& attr : p.partition_attributes) os << '|' << attr;
   return os.str();
 }
@@ -334,7 +334,6 @@ Result<std::unique_ptr<engine::PackageEvaluator>> Session::MakeStrategy(
     std::shared_ptr<const partition::Partitioning>* used_partitioning) {
   using engine::DirectStrategy;
   using engine::LpRoundingStrategy;
-  using engine::ParallelSketchRefineStrategy;
   using engine::RatioObjectiveStrategy;
   using engine::SketchRefineStrategy;
 
@@ -360,26 +359,6 @@ Result<std::unique_ptr<engine::PackageEvaluator>> Session::MakeStrategy(
       if (used_partitioning != nullptr) *used_partitioning = partitioning;
       return std::unique_ptr<engine::PackageEvaluator>(
           new SketchRefineStrategy(resolved.table, std::move(partitioning)));
-    }
-    case Strategy::kParallelSketchRefine: {
-      std::shared_ptr<const partition::Partitioning> partitioning =
-          std::move(reuse_partitioning);
-      if (partitioning != nullptr) {
-        plan->partitioning_reused = true;
-        plan->partition_groups = partitioning->num_groups();
-      } else {
-        PAQL_ASSIGN_OR_RETURN(partitioning, PartitioningFor(resolved, plan));
-      }
-      if (used_partitioning != nullptr) *used_partitioning = partitioning;
-      // An explicit planner grant pins the fan-out; 0 lets the evaluator
-      // inherit ExecContext::threads (the plan reports the resolved count
-      // either way).
-      int threads = std::max(0, plan->threads);
-      plan->threads =
-          threads > 0 ? threads : options_.exec.EffectiveThreads();
-      return std::unique_ptr<engine::PackageEvaluator>(
-          new ParallelSketchRefineStrategy(resolved.table,
-                                           std::move(partitioning), threads));
     }
     case Strategy::kAuto:
       break;

@@ -56,8 +56,7 @@ DirectStrategy::DirectStrategy(std::shared_ptr<const relation::ColumnSource> tab
 
 Result<core::EvalResult> DirectStrategy::Evaluate(
     const CompiledQuery& query, const ExecContext& ctx) const {
-  core::DirectEvaluator evaluator(*table_,
-                                  FromContext<core::DirectOptions>(ctx));
+  core::DirectEvaluator evaluator(*table_, ctx);
   return evaluator.Evaluate(query.ilp);
 }
 
@@ -72,28 +71,6 @@ Result<core::EvalResult> SketchRefineStrategy::Evaluate(
     const CompiledQuery& query, const ExecContext& ctx) const {
   core::SketchRefineEvaluator evaluator(
       *table_, *partitioning_, FromContext<core::SketchRefineOptions>(ctx));
-  return evaluator.Evaluate(query.ilp);
-}
-
-// --- Parallel SKETCHREFINE -------------------------------------------------
-
-ParallelSketchRefineStrategy::ParallelSketchRefineStrategy(
-    std::shared_ptr<const relation::ColumnSource> table,
-    std::shared_ptr<const partition::Partitioning> partitioning,
-    int num_threads, core::ParallelMode mode)
-    : table_(std::move(table)),
-      partitioning_(std::move(partitioning)),
-      num_threads_(num_threads),
-      mode_(mode) {}
-
-Result<core::EvalResult> ParallelSketchRefineStrategy::Evaluate(
-    const CompiledQuery& query, const ExecContext& ctx) const {
-  core::ParallelOptions options;
-  options.sketch_refine = FromContext<core::SketchRefineOptions>(ctx);
-  options.mode = mode_;
-  options.num_threads = num_threads_;
-  core::ParallelSketchRefineEvaluator evaluator(*table_, *partitioning_,
-                                                options);
   return evaluator.Evaluate(query.ilp);
 }
 

@@ -1,17 +1,17 @@
 // Thin adapters wrapping each core evaluation strategy behind the
 // PackageEvaluator interface.
 //
-// Each adapter holds the inputs the underlying algorithm needs (table,
-// offline partitioning, thread count) and, at Evaluate time, copies the
-// shared ExecContext into the strategy's legacy options struct. The core
-// classes stay available for callers that want the full per-strategy
-// surface; the engine only needs this uniform slice.
+// Each adapter holds the inputs the underlying algorithm needs (table and,
+// for SKETCHREFINE, the offline partitioning) and, at Evaluate time, hands
+// the shared ExecContext to the strategy (copied into its options struct
+// where the strategy has extra knobs). The core classes stay available for
+// callers that want the full per-strategy surface; the engine only needs
+// this uniform slice.
 #ifndef PAQL_ENGINE_EVALUATORS_H_
 #define PAQL_ENGINE_EVALUATORS_H_
 
 #include <memory>
 
-#include "core/parallel.h"
 #include "engine/evaluator.h"
 #include "partition/partitioner.h"
 #include "relation/column_source.h"
@@ -44,26 +44,6 @@ class SketchRefineStrategy : public PackageEvaluator {
  private:
   std::shared_ptr<const relation::ColumnSource> table_;
   std::shared_ptr<const partition::Partitioning> partitioning_;
-};
-
-/// Parallel SKETCHREFINE (paper §4.5): group-parallel refinement with a
-/// sequential fallback, or an ordering race.
-class ParallelSketchRefineStrategy : public PackageEvaluator {
- public:
-  ParallelSketchRefineStrategy(
-      std::shared_ptr<const relation::ColumnSource> table,
-      std::shared_ptr<const partition::Partitioning> partitioning,
-      int num_threads,
-      core::ParallelMode mode = core::ParallelMode::kGroupParallel);
-  std::string_view name() const override { return "PARALLEL_SKETCHREFINE"; }
-  Result<core::EvalResult> Evaluate(const CompiledQuery& query,
-                                    const ExecContext& ctx) const override;
-
- private:
-  std::shared_ptr<const relation::ColumnSource> table_;
-  std::shared_ptr<const partition::Partitioning> partitioning_;
-  int num_threads_;
-  core::ParallelMode mode_;
 };
 
 /// LP relaxation + rounding + repair (related-work baseline, paper §6).

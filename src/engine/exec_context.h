@@ -1,12 +1,10 @@
 // ExecContext: the execution settings shared by every evaluation strategy.
 //
-// Before the engine facade existed, each evaluator carried its own options
-// struct with copy-pasted solver budgets (`DirectOptions::limits`,
-// `SketchRefineOptions::subproblem_limits`, `LpRoundingOptions::
-// repair_limits`, ...), branch-and-bound settings, seeds, and cancellation
-// flags. ExecContext is the single home for those shared fields; the
-// per-strategy options structs in core/ now derive from it and add only
-// their strategy-specific knobs. Every strategy runs one pipeline: batch
+// ExecContext is the single home for the fields every evaluator shares:
+// solver budgets, branch-and-bound settings, seeds, cancellation flags and
+// the worker count. The per-strategy options structs in core/ derive from
+// it and add only their strategy-specific knobs; DIRECT, which has none,
+// takes an ExecContext as is. Every strategy runs one pipeline: batch
 // scans and coefficient fills, and the solver configured by
 // `branch_and_bound` alone (warm starts, presolve, pricing).
 //
@@ -68,7 +66,7 @@ struct ExecContext {
   ilp::IlpWarmStart* warm_basis = nullptr;
 
   /// Seed for any randomized choice a strategy makes (e.g. SKETCHREFINE's
-  /// initial refinement order, the parallel ordering race's racer seeds).
+  /// initial refinement order).
   uint64_t seed = 42;
 
   /// Worker threads for intra-query parallelism: the morsel-driven chunk

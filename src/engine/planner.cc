@@ -13,7 +13,6 @@ const char* StrategyName(Strategy strategy) {
     case Strategy::kAuto: return "AUTO";
     case Strategy::kDirect: return "DIRECT";
     case Strategy::kSketchRefine: return "SKETCHREFINE";
-    case Strategy::kParallelSketchRefine: return "PARALLEL_SKETCHREFINE";
     case Strategy::kLpRounding: return "LP_ROUNDING";
     case Strategy::kRatioObjective: return "RATIO_OBJECTIVE";
   }
@@ -56,11 +55,6 @@ Plan Planner::Decide(const relation::ColumnSource& table,
     plan.strategy = options_.force;
     plan.reason = StrCat("explicit override: strategy forced to ",
                          StrategyName(options_.force));
-    if (plan.strategy == Strategy::kParallelSketchRefine) {
-      // 0 = no explicit grant: the evaluator inherits ExecContext::threads
-      // (the engine reports the resolved count on the plan).
-      plan.threads = std::max(0, options_.parallel_threads);
-    }
     return plan;
   }
 
@@ -77,10 +71,7 @@ Plan Planner::Decide(const relation::ColumnSource& table,
   }
 
   if (plan.table_rows >= options_.direct_row_threshold) {
-    bool parallel = options_.parallel_threads > 1;
-    plan.strategy = parallel ? Strategy::kParallelSketchRefine
-                             : Strategy::kSketchRefine;
-    plan.threads = parallel ? options_.parallel_threads : 0;
+    plan.strategy = Strategy::kSketchRefine;
     plan.reason =
         StrCat("table has ", plan.table_rows, " rows >= threshold ",
                options_.direct_row_threshold,
@@ -145,7 +136,6 @@ std::string Plan::Explain() const {
     }
     os << "] (" << (partitioning_reused ? "cached" : "built") << ")\n";
   }
-  if (threads > 0) os << "threads: " << threads << "\n";
   return os.str();
 }
 

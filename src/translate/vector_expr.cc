@@ -646,24 +646,4 @@ std::vector<RowId> FilterTableVectorized(const ColumnSource& table,
       });
 }
 
-std::vector<RowId> FilterRowsVectorized(const ColumnSource& table,
-                                        const std::vector<RowId>& rows,
-                                        const BatchPred& pred, int threads) {
-  return MorselFilter(
-      rows.size(), threads,
-      [&](size_t begin, size_t end, std::vector<RowId>* out) {
-        SelectionVector sel;
-        for (size_t off = begin; off < end; off += kChunkSize) {
-          RowSpan span;
-          span.rows = rows.data() + off;
-          span.len = static_cast<uint32_t>(std::min(kChunkSize, end - off));
-          sel.MakeDense(span.len);
-          pred(table, span, &sel);
-          for (uint32_t k = 0; k < sel.count; ++k) {
-            out->push_back(span.rows[sel.idx[k]]);
-          }
-        }
-      });
-}
-
 }  // namespace paql::translate

@@ -94,13 +94,6 @@ std::vector<relation::RowId> FilterTableVectorized(
     int threads = 1, const std::vector<ZoneRange>* zones = nullptr,
     ScanCounters* counters = nullptr);
 
-/// The subset of `rows` satisfying `pred`, evaluated over gather spans
-/// (order preserved, duplicates allowed). Parallelizes like
-/// FilterTableVectorized when `threads` > 1.
-std::vector<relation::RowId> FilterRowsVectorized(
-    const relation::ColumnSource& table, const std::vector<relation::RowId>& rows,
-    const BatchPred& pred, int threads = 1);
-
 }  // namespace paql::translate
 
 #endif  // PAQL_TRANSLATE_VECTOR_EXPR_H_

@@ -6,8 +6,8 @@
 //   * DIRECT is optimal, so no engine beats it (within tolerance);
 //   * top-1 enumeration equals DIRECT;
 //   * LP rounding is bounded by the LP relaxation;
-//   * SKETCHREFINE (sequential, robust, parallel x2 modes) is feasible and
-//     within a loose factor of DIRECT on these benign instances;
+//   * SKETCHREFINE (plain and robust) is feasible and within a loose factor
+//     of DIRECT on these benign instances;
 //   * infeasible instances are reported as infeasible by every engine.
 #include <gtest/gtest.h>
 
@@ -15,7 +15,6 @@
 #include "common/str_util.h"
 #include "core/direct.h"
 #include "core/lp_rounding.h"
-#include "core/parallel.h"
 #include "core/remedies.h"
 #include "core/sketch_refine.h"
 #include "core/topk.h"
@@ -100,7 +99,7 @@ TEST_P(CrossEngineTest, AllEnginesAgreeOnTheRelationships) {
   EXPECT_LE(lp->objective, opt + 1e-6);
   EXPECT_GE(info.lp_objective, opt - 1e-6);
 
-  // Sequential SKETCHREFINE.
+  // SKETCHREFINE.
   SketchRefineEvaluator sr(t, inst.partitioning);
   auto sketch = sr.Evaluate(cq);
   ASSERT_TRUE(sketch.ok()) << sketch.status();
@@ -114,19 +113,6 @@ TEST_P(CrossEngineTest, AllEnginesAgreeOnTheRelationships) {
   ASSERT_TRUE(robust_result.ok()) << robust_result.status();
   EXPECT_TRUE(ValidatePackage(cq, t, robust_result->result.package).ok());
 
-  // Parallel, both modes.
-  for (ParallelMode mode :
-       {ParallelMode::kGroupParallel, ParallelMode::kOrderingRace}) {
-    ParallelOptions popts;
-    popts.mode = mode;
-    popts.num_threads = 3;
-    ParallelSketchRefineEvaluator par(t, inst.partitioning, popts);
-    auto pr = par.Evaluate(cq);
-    ASSERT_TRUE(pr.ok()) << ParallelModeName(mode) << ": " << pr.status();
-    EXPECT_TRUE(ValidatePackage(cq, t, pr->package).ok())
-        << ParallelModeName(mode);
-    EXPECT_LE(pr->objective, opt + 1e-6) << ParallelModeName(mode);
-  }
 }
 
 TEST_P(CrossEngineTest, InfeasibleInstancesAreInfeasibleEverywhere) {

@@ -40,7 +40,6 @@ namespace paql {
 namespace {
 
 using core::DirectEvaluator;
-using core::DirectOptions;
 using core::NaiveSelfJoinEvaluator;
 using lang::AggCall;
 using lang::BoolExpr;
@@ -501,7 +500,7 @@ TEST(DifferentialTest, WarmMatchesColdOn200RandomQueries) {
 
     switch (arm) {
       case kDirect: {
-        DirectOptions warm_opts, cold_opts;
+        engine::ExecContext warm_opts, cold_opts;
         cold_opts.branch_and_bound.warm_start = false;
         auto warm = DirectEvaluator(table, warm_opts).Evaluate(*cq);
         auto cold = DirectEvaluator(table, cold_opts).Evaluate(*cq);
@@ -649,7 +648,7 @@ TEST(DifferentialTest, PartialPricingMatchesFullDantzigOn200RandomQueries) {
 
     switch (arm) {
       case kDirect: {
-        DirectOptions partial_opts, full_opts;
+        engine::ExecContext partial_opts, full_opts;
         UseFullDantzig(&full_opts);
         auto partial = DirectEvaluator(table, partial_opts).Evaluate(*cq);
         auto full = DirectEvaluator(table, full_opts).Evaluate(*cq);
@@ -783,7 +782,7 @@ TEST(DifferentialTest, ThreadsMatchSerialOn200RandomQueries) {
 
     switch (arm) {
       case kDirect: {
-        DirectOptions parallel_opts, serial_opts;
+        engine::ExecContext parallel_opts, serial_opts;
         parallel_opts.threads = 4;
         serial_opts.threads = 1;
         auto parallel = DirectEvaluator(table, parallel_opts).Evaluate(*cq);

@@ -170,14 +170,6 @@ TEST(ParallelScanTest, FilterTableVectorizedIsBitIdenticalAcrossWorkerCounts) {
         translate::FilterTableVectorized(t, *pred, workers);
     ASSERT_EQ(serial, parallel) << workers << " workers";
   }
-  // And the gather-list variant over a shuffled subset.
-  std::vector<RowId> subset;
-  for (size_t i = 0; i < t.num_rows(); i += 3) {
-    subset.push_back(static_cast<RowId>((i * 7919) % t.num_rows()));
-  }
-  std::vector<RowId> serial_subset =
-      translate::FilterRowsVectorized(t, subset, *pred, 1);
-  EXPECT_EQ(serial_subset, translate::FilterRowsVectorized(t, subset, *pred, 4));
 }
 
 TEST(ParallelScanTest, MinMaxReductionsAreBitIdenticalAcrossWorkerCounts) {

@@ -48,21 +48,6 @@ TEST(PlannerTest, LargeTableRoutesToSketchRefine) {
   EXPECT_TRUE(plan.uses_partitioning());
 }
 
-TEST(PlannerTest, ParallelThreadsUpgradeSketchRefine) {
-  PlannerOptions options;
-  options.direct_row_threshold = 100;
-  options.parallel_threads = 4;
-  Planner planner(options);
-  Table t = MakeTable(500);
-  Plan plan = planner.Decide(t, QueryShape{});
-  EXPECT_EQ(plan.strategy, Strategy::kParallelSketchRefine);
-  EXPECT_EQ(plan.threads, 4);
-
-  // ...but a small table still solves exactly, threads or not.
-  Table small = MakeTable(10);
-  EXPECT_EQ(planner.Decide(small, QueryShape{}).strategy, Strategy::kDirect);
-}
-
 TEST(PlannerTest, LargeAllStringTableFallsBackToDirect) {
   // SKETCHREFINE is impossible without numeric partitioning attributes;
   // auto mode must not route into a dead end.
@@ -173,8 +158,6 @@ TEST(PlannerTest, ExplainReportsChoiceAndThresholds) {
 TEST(PlannerTest, StrategyNames) {
   EXPECT_STREQ(StrategyName(Strategy::kDirect), "DIRECT");
   EXPECT_STREQ(StrategyName(Strategy::kSketchRefine), "SKETCHREFINE");
-  EXPECT_STREQ(StrategyName(Strategy::kParallelSketchRefine),
-               "PARALLEL_SKETCHREFINE");
   EXPECT_STREQ(StrategyName(Strategy::kLpRounding), "LP_ROUNDING");
   EXPECT_STREQ(StrategyName(Strategy::kRatioObjective), "RATIO_OBJECTIVE");
 }

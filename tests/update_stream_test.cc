@@ -21,7 +21,6 @@
 #include "core/direct.h"
 #include "core/explain.h"
 #include "core/incremental.h"
-#include "core/parallel.h"
 #include "core/sketch_refine.h"
 #include "engine/engine.h"
 #include "paql/parser.h"
@@ -447,9 +446,6 @@ TEST(SnapshotPartitioningTest, AbsorbedDeleteIsRejectedOnTheOlderSnapshot) {
   ASSERT_FALSE(stale.ok());
   EXPECT_EQ(stale.status().code(), StatusCode::kInvalidArgument)
       << stale.status();
-  EXPECT_FALSE(core::ParallelSketchRefineEvaluator(**v1, after)
-                   .Evaluate(cq)
-                   .ok());
   EXPECT_FALSE(core::ExplainSketchRefine(cq, **v1, after).ok());
 
   // The snapshot the partitioning was absorbed for evaluates normally.

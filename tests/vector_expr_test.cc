@@ -292,7 +292,16 @@ TEST(VectorExprTest, FilterRowIdSubsetsPreserveOrderAndDuplicates) {
   for (RowId r : rows) {
     if ((*scalar)(t, r)) expect.push_back(r);
   }
-  EXPECT_EQ(expect, FilterRowsVectorized(t, rows, *batch));
+  // A gather span drives the predicate kernels' row-list branch.
+  RowSpan span;
+  span.rows = rows.data();
+  span.len = static_cast<uint32_t>(rows.size());
+  SelectionVector sel;
+  sel.MakeDense(span.len);
+  (*batch)(t, span, &sel);
+  std::vector<RowId> got;
+  for (uint32_t k = 0; k < sel.count; ++k) got.push_back(rows[sel.idx[k]]);
+  EXPECT_EQ(expect, got);
 }
 
 // ---------------------------------------------------------------------------
